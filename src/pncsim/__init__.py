@@ -16,7 +16,6 @@ from .codec import (
     PairEvidence,
     PairPosterior,
     RaCode,
-    bp_decode,
     ra_encode,
 )
 from .frame import (
@@ -46,9 +45,7 @@ from .harness import (
 )
 from .receiver import (
     EmBpResult,
-    FreqFrame,
     ParticleConfig,
-    PhaseEstimate,
     PhaseObjective,
     ReceiverConfig,
     build_phase_objective,
@@ -58,7 +55,6 @@ from .receiver import (
     ls_pilot_phase,
     pair_evidence,
     particle_m_step,
-    phase_objective,
     pnc_map,
 )
 

@@ -50,6 +50,7 @@ def main(argv=None) -> int:
     _add_common(sweep_p)
     args = parser.parse_args(argv)
 
+    # every config is built and checked before the first trial runs
     try:
         cfg = harness.load_config(args.config)
         cfg = harness.with_overrides(
@@ -60,27 +61,25 @@ def main(argv=None) -> int:
             trials_per_snr=args.trials,
             jobs=args.jobs,
         )
-    except (OSError, ValueError, KeyError) as exc:
+        runs = [(cfg, cfg.output_path)]
+        if args.command == "sweep-c":
+            stem = cfg.output_path.removesuffix(".csv")
+            runs = [
+                (replace(cfg, channel_kind="selective", decay=c), f"{stem}_c{c:g}.csv")
+                for c in (0.25, 1.0)
+            ]
+    except (OSError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if args.command == "run":
-            result = harness.run_experiment(cfg)
-            harness.emit_csv(result, cfg.output_path)
+        for run_cfg, path in runs:
+            result = harness.run_experiment(run_cfg)
+            harness.emit_csv(result, path)
+            if args.command == "sweep-c":
+                print(f"# decay c = {run_cfg.decay:g}")
             _print_summary(result)
-            print(f"wrote {cfg.output_path}")
-        else:  # sweep-c
-            base = cfg.output_path
-            stem = base[:-4] if base.endswith(".csv") else base
-            for decay in (0.25, 1.0):
-                sub_cfg = replace(cfg, channel_kind="selective", decay=decay)
-                result = harness.run_experiment(sub_cfg)
-                path = f"{stem}_c{decay:g}.csv"
-                harness.emit_csv(result, path)
-                print(f"# decay c = {decay:g}")
-                _print_summary(result)
-                print(f"wrote {path}")
+            print(f"wrote {path}")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

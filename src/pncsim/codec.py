@@ -72,10 +72,6 @@ class PairEvidence:
 
     tables: np.ndarray
 
-    @property
-    def n_symbols(self) -> int:
-        return self.tables.shape[0]
-
 
 @dataclass(eq=False)
 class PairPosterior:
@@ -131,12 +127,6 @@ class JointPairDecoder:
         self.bits = {
             "a": ((idx_a[:, None] >> shifts) & 1).astype(np.int64),
             "b": ((idx_b[:, None] >> shifts) & 1).astype(np.int64),
-        }
-        self.sel = {
-            (u, p, v): np.flatnonzero(self.bits[u][:, p] == v)
-            for u in ("a", "b")
-            for p in range(b)
-            for v in (0, 1)
         }
         # mask matrix per node: column 2p+v selects joint entries whose bit p
         # equals v, so one matmul yields every marginal sum at once
@@ -197,7 +187,7 @@ class JointPairDecoder:
         in_prev = np.empty(n)
         in_prev[0] = _LLR_PIN  # c_{-1} is the constant 0
         in_prev[1:] = _clip(msg_ev[:-1] + st.to_cur[:-1])
-        return in_prev, in_cur, in_info, totals
+        return in_prev, in_cur, in_info
 
     @staticmethod
     def _v2e(st: _NodeChainState) -> np.ndarray:
@@ -233,7 +223,7 @@ class JointPairDecoder:
             )
             for u in ("a", "b"):
                 st = states[u]
-                in_prev, in_cur, in_info, _ = self._chain_inputs(msg_ev[u], st)
+                in_prev, in_cur, in_info = self._chain_inputs(msg_ev[u], st)
                 new = _NodeChainState(self.ra.n_coded)
                 new.to_prev[1:] = _boxplus(in_cur[1:], in_info[1:])
                 new.to_cur = _boxplus(in_prev, in_info)
@@ -257,13 +247,3 @@ class JointPairDecoder:
         )
         pair_symbol = np.exp(full - logsumexp(full, axis=1, keepdims=True))
         return PairPosterior(pair_symbol=pair_symbol, pair_bit=pair_bit)
-
-
-def bp_decode(
-    evidence: PairEvidence,
-    ra_code: RaCode,
-    constellation: Constellation,
-    inner_iters: int,
-) -> PairPosterior:
-    """Joint BP channel decoding of both nodes' codewords from pair evidence."""
-    return JointPairDecoder(ra_code, constellation).decode(evidence, inner_iters)

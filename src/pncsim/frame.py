@@ -8,6 +8,7 @@ assignment, and the BPSK/QPSK bit labelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,11 +45,6 @@ class Constellation:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def bits_of(self, index: int) -> np.ndarray:
-        """Bit group (MSB first) that labels constellation point ``index``."""
-        b = self.bits_per_symbol
-        return np.array([(index >> (b - 1 - p)) & 1 for p in range(b)], dtype=np.int64)
 
 
 def make_constellation(modulation: str) -> Constellation:
@@ -126,10 +122,10 @@ def default_tone_map(n_fft: int = 64) -> ToneMap:
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """OFDM numerology and code/iteration parameters for one frame.
+    """OFDM numerology and code parameters for one frame.
 
-    The defaults are the 64-tone frame: 48 data tones, 4 pilot tones
-    (2 per node), 12 zero tones, and a 16-sample cyclic prefix.
+    The defaults are the 64-tone frame with a 16-sample cyclic prefix; the
+    data/pilot/zero tone split comes from ``tone_map()``.
     """
 
     m_symbols: int
@@ -137,27 +133,24 @@ class FrameConfig:
     em_outer_iters: int = 0
     n_fft: int = 64
     n_cp: int = 16
-    n_data: int = 48
-    n_pilot: int = 4
-    n_zero: int = 12
     code_rate_inv: int = 3
-    bp_inner_iters: int = 20
 
     def __post_init__(self):
-        if self.n_data + self.n_pilot + self.n_zero != self.n_fft:
-            raise ValueError("data + pilot + zero tone counts must equal n_fft")
         if not 0 < self.n_cp < self.n_fft:
             raise ValueError("cyclic prefix must be shorter than the DFT size")
         if self.m_symbols < 1:
             raise ValueError("a frame needs at least one OFDM symbol")
         if self.em_outer_iters < 0:
             raise ValueError("em_outer_iters must be >= 0")
-        if self.bp_inner_iters < 1:
-            raise ValueError("bp_inner_iters must be >= 1")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
-        if (self.n_data * self.m_symbols * self.bits_per_symbol) % self.code_rate_inv:
+        if self.n_coded_bits % self.code_rate_inv:
             raise ValueError("coded bits per frame must divide by the code rate")
+
+    @cached_property
+    def n_data(self) -> int:
+        """Data tones per OFDM symbol, counted once from the tone layout."""
+        return self.tone_map().n_data
 
     @property
     def n_s(self) -> int:

@@ -60,14 +60,31 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.snr_db_list:
-            raise ValueError("snr list must be non-empty")
+        """Reject every invalid setting here, before the first trial runs."""
+        snrs = self.snr_db_list
+        if not snrs or not all(np.isfinite(snrs)) or len(set(snrs)) != len(snrs):
+            raise ValueError(f"snr list must be non-empty, finite and distinct, got {snrs}")
         if self.trials_per_snr < 1:
             raise ValueError("trials_per_snr must be >= 1")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if self.min_errors < 0 or self.min_frames < 0:
+            raise ValueError("min_errors and min_frames must be >= 0")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if self.master_seed < 0 or self.interleaver_seed < 0:
+            raise ValueError("master_seed and interleaver_seed must be >= 0")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be finite and >= 0")
+        if not 0 <= self.decay < np.inf:
+            raise ValueError("decay must be finite and >= 0")
         if self.channel_kind not in ("flat", "selective"):
             raise ValueError(f"unknown channel kind {self.channel_kind!r}")
+        frame_cfg = frame_mod.default_config(self.modulation, self.m_symbols, 0)
+        # node B's delayed taps must end inside the cyclic prefix
+        taps = self.n_taps if self.channel_kind == "selective" else 1
+        if not 1 <= taps <= frame_cfg.n_cp + 1:
+            raise ValueError(f"taps must lie in [1, {frame_cfg.n_cp + 1}]")
+        if self.tau is not None and not 0 <= self.tau <= frame_cfg.n_cp + 1 - taps:
+            raise ValueError(f"tau must lie in [0, {frame_cfg.n_cp + 1 - taps}] for {taps} taps")
         bad = set(self.receivers) - {"baseline", "em_bp"}
         if bad:
             raise ValueError(f"unknown receivers {sorted(bad)}")
@@ -77,6 +94,7 @@ class ExperimentConfig:
             raise ValueError("em_bp requested but no iteration counts given")
         if any(k < 1 for k in self.em_bp_k):
             raise ValueError("em_bp iteration counts must be >= 1")
+        self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
 
     def reported(self) -> list[tuple[str, int]]:
         """(receiver label, em iteration count) rows, in output order."""
@@ -86,6 +104,22 @@ class ExperimentConfig:
         if "em_bp" in self.receivers:
             rows.extend(("em_bp", k) for k in sorted(self.em_bp_k))
         return rows
+
+    def receiver_config(self, sigma_n2: float) -> rx_mod.ReceiverConfig:
+        """Receiver tunables for one SNR point, run to the largest reported K."""
+        sigma_w2 = self.sigma_w2_override
+        if sigma_w2 is None:
+            sigma_w2 = rx_mod.effective_noise_var(sigma_n2, self.delta)
+        return rx_mod.ReceiverConfig(
+            sigma_w2=sigma_w2,
+            em_iters=max(k for _, k in self.reported()),
+            bp_inner_iters=self.bp_inner_iters,
+            particle=rx_mod.ParticleConfig(
+                rounds=self.particle_rounds, l_grid=self.particle_l, shrink=self.particle_shrink
+            ),
+            ls_includes_channel=self.ls_includes_channel,
+            em_refine_passes=self.em_refine_passes,
+        )
 
 
 @dataclass
@@ -172,23 +206,6 @@ def _make_context(cfg: ExperimentConfig) -> _TrialContext:
     )
 
 
-def _receiver_config(ctx: _TrialContext, sigma_n2: float) -> rx_mod.ReceiverConfig:
-    cfg = ctx.cfg
-    sigma_w2 = cfg.sigma_w2_override
-    if sigma_w2 is None:
-        sigma_w2 = rx_mod.effective_noise_var(sigma_n2, cfg.delta)
-    return rx_mod.ReceiverConfig(
-        sigma_w2=sigma_w2,
-        em_iters=max(ctx.report_ks),
-        bp_inner_iters=cfg.bp_inner_iters,
-        particle=rx_mod.ParticleConfig(
-            rounds=cfg.particle_rounds, l_grid=cfg.particle_l, shrink=cfg.particle_shrink
-        ),
-        ls_includes_channel=cfg.ls_includes_channel,
-        em_refine_passes=cfg.em_refine_passes,
-    )
-
-
 def run_single_trial(
     ctx: _TrialContext, snr_idx: int, trial_idx: int, sigma_n2: float
 ) -> TrialMetrics:
@@ -228,7 +245,7 @@ def run_single_trial(
         frame_a, frame_b, chan, chan_mod.NoiseModel(sigma_n2), rng, fc
     )
     freq = rx_mod.demodulate(samples, fc)
-    rx_cfg = _receiver_config(ctx, sigma_n2)
+    rx_cfg = cfg.receiver_config(sigma_n2)
     out = rx_mod.em_bp_receive(
         freq, chan, fc, ctx.tone_map, ctx.constellation, ctx.ra_code, rx_cfg, ctx.decoder
     )
@@ -372,75 +389,78 @@ def parse_csv(path: str) -> list[ResultRow]:
     return rows
 
 
+def _csv(cast):
+    return lambda raw: tuple(cast(s.strip()) for s in raw.split(",") if s.strip())
+
+
+def _none_if(word: str, cast):
+    return lambda raw: None if raw.lower() == word else cast(raw)
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("not a boolean")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+# (section, key) of the experiment file -> (ExperimentConfig field, parser);
+# configparser has already stripped the raw values
+_INI_KEYS = {
+    ("frame", "modulation"): ("modulation", str.lower),
+    ("frame", "m_symbols"): ("m_symbols", int),
+    ("code", "interleaver_seed"): ("interleaver_seed", int),
+    ("channel", "kind"): ("channel_kind", str.lower),
+    ("channel", "taps"): ("n_taps", int),
+    ("channel", "decay"): ("decay", float),
+    ("channel", "delta"): ("delta", float),
+    ("channel", "tau"): ("tau", _none_if("random", int)),
+    ("receiver", "receivers"): ("receivers", _csv(str)),
+    ("receiver", "em_bp_k"): ("em_bp_k", _csv(int)),
+    ("receiver", "bp_iters"): ("bp_inner_iters", int),
+    ("receiver", "particle_rounds"): ("particle_rounds", int),
+    ("receiver", "particle_l"): ("particle_l", int),
+    ("receiver", "particle_shrink"): ("particle_shrink", float),
+    ("receiver", "em_refine_passes"): ("em_refine_passes", int),
+    ("receiver", "sigma_w2"): ("sigma_w2_override", _none_if("auto", float)),
+    ("receiver", "ls_includes_channel"): ("ls_includes_channel", _bool),
+    ("run", "snr_db"): ("snr_db_list", _csv(float)),
+    ("run", "trials_per_snr"): ("trials_per_snr", int),
+    ("run", "min_errors"): ("min_errors", int),
+    ("run", "min_frames"): ("min_frames", int),
+    ("run", "noiseless"): ("noiseless", _bool),
+    ("run", "master_seed"): ("master_seed", int),
+    ("run", "out"): ("output_path", str),
+    ("run", "jobs"): ("jobs", int),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read the key = value experiment file (sections mirror the modules)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
+    """Read the key = value experiment file (sections mirror the modules).
+
+    Every section and key must appear in ``_INI_KEYS``; ``;`` also starts an
+    inline comment.  A missing file raises FileNotFoundError, anything else
+    that is not a valid experiment raises ValueError.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    sections = dict.fromkeys(section for section, _ in _INI_KEYS)
     kw = {}
-    if parser.has_section("frame"):
-        sec = parser["frame"]
-        if "modulation" in sec:
-            kw["modulation"] = sec["modulation"].strip().lower()
-        if "m_symbols" in sec:
-            kw["m_symbols"] = sec.getint("m_symbols")
-    if parser.has_section("code"):
-        sec = parser["code"]
-        if "interleaver_seed" in sec:
-            kw["interleaver_seed"] = sec.getint("interleaver_seed")
-    if parser.has_section("channel"):
-        sec = parser["channel"]
-        if "kind" in sec:
-            kw["channel_kind"] = sec["kind"].strip().lower()
-        if "taps" in sec:
-            kw["n_taps"] = sec.getint("taps")
-        if "decay" in sec:
-            kw["decay"] = sec.getfloat("decay")
-        if "delta" in sec:
-            kw["delta"] = sec.getfloat("delta")
-        if "tau" in sec:
-            raw = sec["tau"].strip().lower()
-            kw["tau"] = None if raw == "random" else int(raw)
-    if parser.has_section("receiver"):
-        sec = parser["receiver"]
-        if "receivers" in sec:
-            kw["receivers"] = tuple(s.strip() for s in sec["receivers"].split(",") if s.strip())
-        if "em_bp_k" in sec:
-            kw["em_bp_k"] = tuple(int(s) for s in sec["em_bp_k"].split(",") if s.strip())
-        if "bp_iters" in sec:
-            kw["bp_inner_iters"] = sec.getint("bp_iters")
-        if "particle_rounds" in sec:
-            kw["particle_rounds"] = sec.getint("particle_rounds")
-        if "particle_l" in sec:
-            kw["particle_l"] = sec.getint("particle_l")
-        if "particle_shrink" in sec:
-            kw["particle_shrink"] = sec.getfloat("particle_shrink")
-        if "em_refine_passes" in sec:
-            kw["em_refine_passes"] = sec.getint("em_refine_passes")
-        if "sigma_w2" in sec:
-            raw = sec["sigma_w2"].strip().lower()
-            kw["sigma_w2_override"] = None if raw == "auto" else float(raw)
-        if "ls_includes_channel" in sec:
-            kw["ls_includes_channel"] = sec.getboolean("ls_includes_channel")
-    if parser.has_section("run"):
-        sec = parser["run"]
-        if "snr_db" in sec:
-            kw["snr_db_list"] = tuple(float(s) for s in sec["snr_db"].split(",") if s.strip())
-        if "trials_per_snr" in sec:
-            kw["trials_per_snr"] = sec.getint("trials_per_snr")
-        if "min_errors" in sec:
-            kw["min_errors"] = sec.getint("min_errors")
-        if "min_frames" in sec:
-            kw["min_frames"] = sec.getint("min_frames")
-        if "noiseless" in sec:
-            kw["noiseless"] = sec.getboolean("noiseless")
-        if "master_seed" in sec:
-            kw["master_seed"] = sec.getint("master_seed")
-        if "out" in sec:
-            kw["output_path"] = sec["out"]
-        if "jobs" in sec:
-            kw["jobs"] = sec.getint("jobs")
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(path)
+        for section in parser.sections():
+            if section not in sections:
+                raise ValueError(f"unknown section [{section}]; valid: {', '.join(sections)}")
+            for key, raw in parser[section].items():
+                if (section, key) not in _INI_KEYS:
+                    valid = ", ".join(k for s, k in _INI_KEYS if s == section)
+                    raise ValueError(f"unknown key {key!r} in [{section}]; valid keys: {valid}")
+                name, parse = _INI_KEYS[section, key]
+                try:
+                    kw[name] = parse(raw)
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
     return ExperimentConfig(**kw)
 
 

@@ -19,27 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization
-from .codec import JointPairDecoder, PairEvidence, PairPosterior, RaCode
+from .codec import JointPairDecoder, PairEvidence, RaCode
 from .frame import Constellation, FrameConfig, ToneMap
 
 # Floor for the effective noise variance so that noiseless ablations yield
 # delta-shaped evidence instead of dividing by zero.
 _SIGMA_W2_FLOOR = 1e-12
-
-
-@dataclass(eq=False)
-class FreqFrame:
-    """Frequency-domain received frame, shape (m_symbols, n_fft)."""
-
-    r: np.ndarray
-
-
-@dataclass(eq=False)
-class PhaseEstimate:
-    """Per-symbol phase drift estimates, shape (m_symbols, 2), in [0, 2pi)."""
-
-    theta: np.ndarray
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -71,29 +56,22 @@ class ReceiverConfig:
     # Correlate pilots against (pilot * channel)* so the angle isolates the
     # drift; False reproduces the plain pilot-conjugate correlation.
     ls_includes_channel: bool = True
-    # Never return a particle worse than the coarse grid argmax; False keeps
-    # the bare shrink-and-argmax behavior.
-    particle_grid_fallback: bool = True
-    # Keep the previous phase pair whenever the particle search does not
-    # improve the per-symbol objective.  Without this the search can only
-    # return lattice-descended points, whose quantization error can exceed
-    # the pilot estimate's error and then each EM round degrades good
-    # phases; False keeps the bare restart-from-lattice behavior.
-    em_monotone: bool = True
     # Extra windowed passes of the particle search around the running
     # winner, each narrowing the lattice span by 2/l_grid.  The coarse
     # lattice alone quantizes phases to 2*pi/l_grid, which caps tracking
     # accuracy well above what the data tones support; 0 keeps the bare
     # single-pass search.
-    em_refine_passes: int = 1
+    em_refine_passes: int = 0
 
     def __post_init__(self):
-        if self.sigma_w2 <= 0:
-            raise ValueError("sigma_w2 must be positive")
+        if not 0 < self.sigma_w2 < np.inf:
+            raise ValueError("sigma_w2 must be positive and finite")
         if self.em_iters < 0:
             raise ValueError("em_iters must be >= 0")
         if self.bp_inner_iters < 1:
             raise ValueError("bp_inner_iters must be >= 1")
+        if self.em_refine_passes < 0:
+            raise ValueError("em_refine_passes must be >= 0")
 
 
 def _wrap(theta: np.ndarray) -> np.ndarray:
@@ -113,31 +91,31 @@ def effective_noise_var(sigma_n2: float, cfo_spread: float, signal_power: float 
     return max(sigma_n2 + ici, _SIGMA_W2_FLOOR)
 
 
-def demodulate(samples: np.ndarray, config: FrameConfig) -> FreqFrame:
-    """Strip each symbol's cyclic prefix and take the unitary DFT."""
+def demodulate(samples: np.ndarray, config: FrameConfig) -> np.ndarray:
+    """Strip each symbol's cyclic prefix and take the unitary DFT: (M, N) tones."""
     samples = np.asarray(samples)
     n_total = config.m_symbols * config.n_s
     if samples.shape != (n_total,):
         raise ValueError(f"expected {n_total} samples, got {samples.shape}")
     blocks = samples.reshape(config.m_symbols, config.n_s)[:, config.n_cp :]
-    return FreqFrame(r=np.fft.fft(blocks, norm="ortho", axis=1))
+    return np.fft.fft(blocks, norm="ortho", axis=1)
 
 
 def ls_pilot_phase(
-    freq_frame: FreqFrame,
+    r: np.ndarray,
     tone_map: ToneMap,
     h_a: np.ndarray,
     h_b: np.ndarray,
     include_channel: bool = True,
-) -> PhaseEstimate:
+) -> np.ndarray:
     """Least-squares pilot correlation phases, independently per node and symbol.
 
-    With ``include_channel`` the correlation reference is the known pilot
-    symbol times the known channel, so the angle is the phase drift alone.
-    A zero-magnitude correlation falls back to the previous symbol's
-    estimate (0 for the first symbol).
+    Returns the (m_symbols, 2) phase pairs of the demodulated frame ``r`` in
+    [0, 2pi), column 0 = node A.  With ``include_channel`` the correlation
+    reference is the known pilot symbol times the known channel, so the
+    angle is the phase drift alone.  A zero-magnitude correlation falls back
+    to the previous symbol's estimate (0 for the first symbol).
     """
-    r = freq_frame.r
     m_symbols = r.shape[0]
     theta = np.zeros((m_symbols, 2))
     refs = (
@@ -145,9 +123,7 @@ def ls_pilot_phase(
         (tone_map.pilot_tones_b, tone_map.pilot_values_b, h_b),
     )
     for col, (tones, values, h) in enumerate(refs):
-        ref = values * h[tones]
-        if not include_channel:
-            ref = values
+        ref = values * h[tones] if include_channel else values
         corr = r[:, tones] @ np.conj(ref)
         mags = np.abs(corr)
         for m in range(m_symbols):
@@ -156,7 +132,7 @@ def ls_pilot_phase(
                 theta[m, col] = theta[m - 1, col] if m > 0 else 0.0
             else:
                 theta[m, col] = np.angle(corr[m])
-    return PhaseEstimate(theta=_wrap(theta), iteration=0)
+    return _wrap(theta)
 
 
 def _joint_points(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +143,11 @@ def _joint_points(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]
 
 
 def pair_evidence(
-    freq_frame: FreqFrame,
+    r: np.ndarray,
     chan: ChannelRealization,
     tone_map: ToneMap,
     constellation: Constellation,
-    phase: PhaseEstimate,
+    theta: np.ndarray,
     sigma_w2: float,
 ) -> PairEvidence:
     """Gaussian channel evidence on every data tone for every symbol pair.
@@ -182,10 +158,10 @@ def pair_evidence(
     underflow to all zeros.
     """
     data = tone_map.data_tones
-    r = freq_frame.r[:, data]  # (M, N_d)
+    r = r[:, data]  # (M, N_d)
     xa, xb = _joint_points(constellation)
-    rot_a = np.exp(1j * phase.theta[:, 0])[:, None, None]
-    rot_b = np.exp(1j * phase.theta[:, 1])[:, None, None]
+    rot_a = np.exp(1j * theta[:, 0])[:, None, None]
+    rot_b = np.exp(1j * theta[:, 1])[:, None, None]
     hyp = rot_a * chan.h_freq_a[data][None, :, None] * xa[None, None, :]
     hyp += rot_b * chan.h_freq_b[data][None, :, None] * xb[None, None, :]
     log_k = -np.abs(r[:, :, None] - hyp) ** 2 / sigma_w2
@@ -277,28 +253,11 @@ def build_phase_objective(
     )
 
 
-def phase_objective(
-    theta_pair: tuple[float, float],
-    r_symbol: np.ndarray,
-    chan: ChannelRealization,
-    tone_map: ToneMap,
-    constellation: Constellation,
-    posterior_symbol: np.ndarray,
-    include_pilots: bool = True,
-) -> float:
-    """Evaluate one symbol's phase fit at a single phase pair."""
-    obj = build_phase_objective(
-        r_symbol, chan, tone_map, constellation, posterior_symbol, include_pilots
-    )
-    return float(obj.value(theta_pair[0], theta_pair[1]))
-
-
 def particle_m_step(
     objective: PhaseObjective,
     prev_theta: np.ndarray,
     particle_cfg: ParticleConfig,
     sigma_w2: float,
-    grid_fallback: bool = True,
     center: np.ndarray | None = None,
     span: float = 2.0 * np.pi,
 ) -> np.ndarray:
@@ -309,10 +268,9 @@ def particle_m_step(
     ``center`` and a smaller span to refine around a known candidate); for
     each round, weight the particles by exp((value - max value)/sigma_w2)
     and pull every particle towards the weighted mean by the shrink factor;
-    finally return the best particle of the last round.  With
-    ``grid_fallback`` the initial lattice argmax competes against that
-    particle, so the search never ends below coarse grid search.
-    Degenerate weights return ``prev_theta``.
+    finally return the best particle of the last round, or the initial
+    lattice argmax if that scores higher.  Degenerate weights return
+    ``prev_theta``.
 
     Because the lattice rides on the running estimate rather than on
     absolute phase 0, rotating the objective by (phi_a, phi_b) and
@@ -344,7 +302,8 @@ def particle_m_step(
         vals = objective.value(particles[:, 0], particles[:, 1])
 
     best = particles[int(np.argmax(vals))]
-    if grid_fallback and np.max(grid0_vals) > np.max(vals):
+    # never return a particle worse than the coarse grid argmax
+    if np.max(grid0_vals) > np.max(vals):
         best = grid0_best
     return _wrap(best)
 
@@ -358,9 +317,6 @@ class EmBpResult:
     the largest wanted k serves every smaller k as well.
     """
 
-    phase: PhaseEstimate
-    posterior: PairPosterior
-    xor_bits: np.ndarray
     theta_history: np.ndarray  # (em_iters+1, m_symbols, 2)
     xor_history: np.ndarray  # (em_iters+1, k_info)
 
@@ -374,7 +330,7 @@ def pnc_map(pair_bit_posteriors: np.ndarray) -> np.ndarray:
 
 
 def em_bp_receive(
-    freq_frame: FreqFrame,
+    r: np.ndarray,
     chan: ChannelRealization,
     frame_cfg: FrameConfig,
     tone_map: ToneMap,
@@ -385,8 +341,10 @@ def em_bp_receive(
 ) -> EmBpResult:
     """Run pilot initialization, the EM-BP loop, and the final XOR decision.
 
-    With ``em_iters == 0`` this degenerates to the pilot-only baseline:
-    LS phases followed by a single BP decode.
+    ``r`` is the demodulated frame.  The final phases and XOR decisions are
+    the last entries of the histories.  With ``em_iters == 0`` this
+    degenerates to the pilot-only baseline: LS phases followed by a single
+    BP decode.
     """
     if decoder is None:
         decoder = JointPairDecoder(ra_code, constellation)
@@ -394,19 +352,13 @@ def em_bp_receive(
     m_symbols = frame_cfg.m_symbols
     k_total = rx_cfg.em_iters
 
-    theta = ls_pilot_phase(
-        freq_frame, tone_map, chan.h_freq_a, chan.h_freq_b, rx_cfg.ls_includes_channel
-    ).theta
+    theta = ls_pilot_phase(r, tone_map, chan.h_freq_a, chan.h_freq_b, rx_cfg.ls_includes_channel)
     theta_history = np.empty((k_total + 1, m_symbols, 2))
     xor_history = np.empty((k_total + 1, ra_code.k_info), dtype=np.int64)
     theta_history[0] = theta
 
-    posterior = None
     for k in range(k_total + 1):
-        estimate = PhaseEstimate(theta=theta, iteration=k)
-        evidence = pair_evidence(
-            freq_frame, chan, tone_map, constellation, estimate, rx_cfg.sigma_w2
-        )
+        evidence = pair_evidence(r, chan, tone_map, constellation, theta, rx_cfg.sigma_w2)
         posterior = decoder.decode(evidence, rx_cfg.bp_inner_iters)
         xor_history[k] = pnc_map(posterior.pair_bit)
         if k == k_total:
@@ -414,27 +366,19 @@ def em_bp_receive(
         tables = posterior.pair_symbol.reshape(m_symbols, n_data, -1)
         new_theta = np.empty_like(theta)
         for m in range(m_symbols):
-            obj = build_phase_objective(
-                freq_frame.r[m], chan, tone_map, constellation, tables[m]
-            )
-            cand = particle_m_step(
-                obj, theta[m], rx_cfg.particle, rx_cfg.sigma_w2, rx_cfg.particle_grid_fallback
-            )
-            if rx_cfg.em_monotone and obj.value(cand[0], cand[1]) < obj.value(
-                theta[m, 0], theta[m, 1]
-            ):
+            obj = build_phase_objective(r[m], chan, tone_map, constellation, tables[m])
+            cand = particle_m_step(obj, theta[m], rx_cfg.particle, rx_cfg.sigma_w2)
+            # Keep the previous pair unless the search improves the objective:
+            # the search only returns lattice-descended points, whose
+            # quantization error can exceed the pilot estimate's, so without
+            # this each EM round could degrade good phases.
+            if obj.value(cand[0], cand[1]) < obj.value(theta[m, 0], theta[m, 1]):
                 cand = theta[m]
             span = 2.0 * np.pi
             for _ in range(rx_cfg.em_refine_passes):
                 span *= 2.0 / rx_cfg.particle.l_grid
                 fine = particle_m_step(
-                    obj,
-                    cand,
-                    rx_cfg.particle,
-                    rx_cfg.sigma_w2,
-                    rx_cfg.particle_grid_fallback,
-                    center=cand,
-                    span=span,
+                    obj, cand, rx_cfg.particle, rx_cfg.sigma_w2, center=cand, span=span
                 )
                 if obj.value(fine[0], fine[1]) >= obj.value(cand[0], cand[1]):
                     cand = _wrap(fine)
@@ -442,10 +386,4 @@ def em_bp_receive(
         theta = new_theta
         theta_history[k + 1] = theta
 
-    return EmBpResult(
-        phase=PhaseEstimate(theta=theta, iteration=k_total),
-        posterior=posterior,
-        xor_bits=xor_history[k_total],
-        theta_history=theta_history,
-        xor_history=xor_history,
-    )
+    return EmBpResult(theta_history=theta_history, xor_history=xor_history)

@@ -87,9 +87,10 @@ class TestCriterion1FlatFadingGain:
                 "1 (flat-fading gain at BER 1e-3)",
                 False,
                 "BER 1e-3 is never reached: the exact per-sample CFO model "
-                "leaves ~0.6% of frame pairs with one node buried under the "
-                "other's inter-carrier leakage, flooring the XOR BER near "
-                f"3e-3 for every receiver. Measured curves: {curves}",
+                "leaves 1.15-1.9% of frames with one node buried under the "
+                "other's inter-carrier leakage, flooring the XOR BER between "
+                "1.6e-3 and 3.1e-3 at 34 dB for every receiver. "
+                f"Measured curves: {curves}",
             )
             assert ok, "no BER 1e-3 crossing exists for at least one receiver"
         gain_7 = cross_b - cross_7
@@ -381,7 +382,7 @@ class TestCriterion7OracleSuite:
         assert ok
 
     def test_f_bp_against_exhaustive_map(self):
-        from pncsim.codec import RaCode, bp_decode, ra_encode
+        from pncsim.codec import JointPairDecoder, RaCode, ra_encode
         from pncsim.frame import make_constellation
         from tests.test_codec import exhaustive_pair_map, pair_evidence_awgn
 
@@ -399,7 +400,7 @@ class TestCriterion7OracleSuite:
             ev, _ = pair_evidence_awgn(
                 ra_encode(info_a, ra), ra_encode(info_b, ra), con, h_a, h_b, sigma2, rng
             )
-            post = bp_decode(ev, ra, con, inner_iters=20)
+            post = JointPairDecoder(ra, con).decode(ev, 20)
             bp_xor = (post.pair_bit[:, 1] + post.pair_bit[:, 2] > 0.5).astype(int)
             agree += int(np.array_equal(bp_xor, exhaustive_pair_map(ra, ev.tables, con)))
         ok = agree >= 0.95 * trials

@@ -105,7 +105,7 @@ class TestSimulateUplink:
         grid = np.fft.fft(
             fa.reshape(cfg.m_symbols, cfg.n_s)[:, cfg.n_cp :], norm="ortho", axis=1
         )
-        np.testing.assert_allclose(freq.r, grid * chan.h_freq_a[None, :], atol=1e-9)
+        np.testing.assert_allclose(freq, grid * chan.h_freq_a[None, :], atol=1e-9)
 
     def test_delay_ramp_matches_dft_theorem(self, cfg):
         _, fb = make_frames(cfg)
@@ -122,7 +122,7 @@ class TestSimulateUplink:
         h_oracle = np.fft.fft(chan.taps_b, n=64) * np.exp(
             -2j * np.pi * np.arange(64) * tau / 64
         )
-        np.testing.assert_allclose(freq.r, grid * h_oracle[None, :], atol=1e-9)
+        np.testing.assert_allclose(freq, grid * h_oracle[None, :], atol=1e-9)
         np.testing.assert_allclose(chan.h_freq_b, h_oracle, atol=1e-10)
 
     @pytest.mark.parametrize("tau", [0, 4, 8, 13])
@@ -135,7 +135,7 @@ class TestSimulateUplink:
         ga = np.fft.fft(fa.reshape(cfg.m_symbols, cfg.n_s)[:, cfg.n_cp :], norm="ortho", axis=1)
         gb = np.fft.fft(fb.reshape(cfg.m_symbols, cfg.n_s)[:, cfg.n_cp :], norm="ortho", axis=1)
         model = ga * chan.h_freq_a[None, :] + gb * chan.h_freq_b[None, :]
-        np.testing.assert_allclose(freq.r, model, atol=1e-9)
+        np.testing.assert_allclose(freq, model, atol=1e-9)
 
     def test_linearity(self, cfg):
         fa, fb = make_frames(cfg)

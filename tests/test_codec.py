@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncsim.codec import JointPairDecoder, PairEvidence, RaCode, bp_decode, ra_encode
+from pncsim.codec import JointPairDecoder, PairEvidence, RaCode, ra_encode
 from pncsim.frame import BPSK, QPSK, make_constellation, map_bits
 
 
@@ -95,7 +95,7 @@ class TestBpDecodeNoiseless:
         info_a = rng.integers(0, 2, k)
         info_b = rng.integers(0, 2, k)
         ev = delta_evidence(ra_encode(info_a, ra), ra_encode(info_b, ra), con)
-        post = bp_decode(ev, ra, con, inner_iters=20)
+        post = JointPairDecoder(ra, con).decode(ev, 20)
         assert post.pair_bit.shape == (k, 4)
         true_idx = 2 * info_a + info_b
         np.testing.assert_array_less(1.0 - 1e-9, post.pair_bit[np.arange(k), true_idx])
@@ -111,7 +111,7 @@ class TestBpDecodeNoiseless:
         info_a = rng.integers(0, 2, 12)
         info_b = rng.integers(0, 2, 12)
         ev = delta_evidence(ra_encode(info_a, ra), ra_encode(info_b, ra), con)
-        post = bp_decode(ev, ra, con, inner_iters=1)
+        post = JointPairDecoder(ra, con).decode(ev, 1)
         true_idx = 2 * info_a + info_b
         np.testing.assert_array_less(1.0 - 1e-9, post.pair_bit[np.arange(12), true_idx])
 
@@ -167,7 +167,7 @@ class TestSingleUserConsistency:
         r = map_bits(coded_a, con) + noise
         e_a = np.exp(-np.abs(r[:, None] - con.points[None, :]) ** 2 / sigma2)
         tables = np.repeat(e_a, 2, axis=1) / 2.0  # joint idx a*2+b flat over b
-        post = bp_decode(PairEvidence(tables=tables), ra, con, inner_iters=8)
+        post = JointPairDecoder(ra, con).decode(PairEvidence(tables=tables), 8)
 
         bit_llrs = np.log(e_a[:, 0]) - np.log(e_a[:, 1])
         llr_oracle = single_user_ra_bp(
@@ -231,7 +231,7 @@ class TestAgainstExhaustiveMap:
             ev, _ = pair_evidence_awgn(
                 ra_encode(info_a, ra), ra_encode(info_b, ra), con, h_a, h_b, sigma2, rng
             )
-            post = bp_decode(ev, ra, con, inner_iters=20)
+            post = JointPairDecoder(ra, con).decode(ev, 20)
             bp_xor = (post.pair_bit[:, 1] + post.pair_bit[:, 2] > 0.5).astype(int)
             map_xor = exhaustive_pair_map(ra, ev.tables, con)
             agree += int(np.array_equal(bp_xor, map_xor))
@@ -248,7 +248,7 @@ class TestDecoderProperties:
         con = make_constellation(QPSK)
         ra = RaCode.build(16, seed=2)
         ev = self._random_evidence(0, 24, 16)
-        post = bp_decode(ev, ra, con, inner_iters=5)
+        post = JointPairDecoder(ra, con).decode(ev, 5)
         np.testing.assert_allclose(post.pair_bit.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(post.pair_symbol.sum(axis=1), 1.0, atol=1e-9)
 
@@ -258,7 +258,7 @@ class TestDecoderProperties:
         con = make_constellation(BPSK)
         ra = RaCode.build(8, seed=3)
         ev = self._random_evidence(seed, 24, 4)
-        post = bp_decode(ev, ra, con, inner_iters=3)
+        post = JointPairDecoder(ra, con).decode(ev, 3)
         np.testing.assert_allclose(post.pair_bit.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(post.pair_symbol.sum(axis=1), 1.0, atol=1e-9)
 
@@ -268,8 +268,8 @@ class TestDecoderProperties:
         ra = RaCode.build(12, seed=6)
         ev = self._random_evidence(4, 36, 4)
         swapped = PairEvidence(tables=ev.tables[:, [0, 2, 1, 3]])
-        post = bp_decode(ev, ra, con, inner_iters=10)
-        post_sw = bp_decode(swapped, ra, con, inner_iters=10)
+        post = JointPairDecoder(ra, con).decode(ev, 10)
+        post_sw = JointPairDecoder(ra, con).decode(swapped, 10)
         np.testing.assert_allclose(
             post_sw.pair_bit, post.pair_bit[:, [0, 2, 1, 3]], atol=1e-12
         )
@@ -283,25 +283,25 @@ class TestDecoderProperties:
         tables = np.ones((24, 4))
         tables[5] = 0.0
         with pytest.raises(ValueError, match="all-zero at symbol index 5"):
-            bp_decode(PairEvidence(tables=tables), ra, con, inner_iters=2)
+            JointPairDecoder(ra, con).decode(PairEvidence(tables=tables), 2)
 
     def test_rejects_wrong_coverage(self):
         con = make_constellation(BPSK)
         ra = RaCode.build(8, seed=2)
         with pytest.raises(ValueError, match="cover"):
-            bp_decode(PairEvidence(tables=np.ones((23, 4))), ra, con, inner_iters=2)
+            JointPairDecoder(ra, con).decode(PairEvidence(tables=np.ones((23, 4))), 2)
 
     def test_rejects_zero_iterations(self):
         con = make_constellation(BPSK)
         ra = RaCode.build(8, seed=2)
         with pytest.raises(ValueError):
-            bp_decode(PairEvidence(tables=np.ones((24, 4))), ra, con, inner_iters=0)
+            JointPairDecoder(ra, con).decode(PairEvidence(tables=np.ones((24, 4))), 0)
 
     def test_deterministic(self):
         con = make_constellation(QPSK)
         ra = RaCode.build(16, seed=2)
         ev = self._random_evidence(1, 24, 16)
-        p1 = bp_decode(ev, ra, con, inner_iters=6)
-        p2 = bp_decode(ev, ra, con, inner_iters=6)
+        p1 = JointPairDecoder(ra, con).decode(ev, 6)
+        p2 = JointPairDecoder(ra, con).decode(ev, 6)
         np.testing.assert_array_equal(p1.pair_bit, p2.pair_bit)
         np.testing.assert_array_equal(p1.pair_symbol, p2.pair_symbol)

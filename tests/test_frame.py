@@ -24,12 +24,9 @@ class TestDefaultConfig:
         assert cfg.n_fft == 64
         assert cfg.n_cp == 16
         assert cfg.n_data == 48
-        assert cfg.n_pilot == 4
-        assert cfg.n_zero == 12
         assert cfg.m_symbols == 10
         assert cfg.em_outer_iters == 7
         assert cfg.code_rate_inv == 3
-        assert cfg.bp_inner_iters == 20
         assert cfg.n_s == 80
 
     def test_bpsk_degenerate_em(self):

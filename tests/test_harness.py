@@ -1,11 +1,15 @@
 """Tests for the experiment driver, metrics, CSV output, and CLI."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pncsim import cli
+from pncsim import cli, harness
 from pncsim.channel import PhaseTrajectory
 from pncsim.harness import (
+    _INI_KEYS,
     CSV_COLUMNS,
     ExperimentConfig,
     emit_csv,
@@ -16,6 +20,8 @@ from pncsim.harness import (
     wilson_interval,
     with_overrides,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestMseMetric:
@@ -147,6 +153,30 @@ class TestRunExperiment:
         cfg = _tiny_config(tau=12, channel_kind="selective", trials_per_snr=3)
         run_experiment(cfg)  # delay-within-CP must hold for every trial
 
+    def test_pinned_seed_golden(self):
+        """Exact rows for a pinned seed: a refactor that claims to keep the
+        CSV unchanged must reproduce them bit for bit.  The config covers
+        the baseline, the M-step and the refine path on a selective channel."""
+        cfg = _tiny_config(
+            snr_db_list=(6.0, 10.0),
+            em_bp_k=(1, 2),
+            channel_kind="selective",
+            decay=0.25,
+            em_refine_passes=1,
+        )
+        got = [
+            (r.receiver, r.em_iters, r.snr_db, r.errors, r.bits, r.frames, r.mse_a, r.mse_b)
+            for r in run_experiment(cfg).rows
+        ]
+        assert got == [
+            ("baseline", 0, 6.0, 57, 256, 4, 0.4033697682690225, 0.09243666901104974),
+            ("baseline", 0, 10.0, 0, 256, 4, 0.02165348458046274, 0.06506893837894917),
+            ("em_bp", 1, 6.0, 48, 256, 4, 0.32481382494824945, 0.02678288105841476),
+            ("em_bp", 1, 10.0, 0, 256, 4, 0.0023740084267349056, 0.0013359237173776245),
+            ("em_bp", 2, 6.0, 45, 256, 4, 0.3287483204774969, 0.01636754898230806),
+            ("em_bp", 2, 10.0, 0, 256, 4, 0.002631000721252794, 0.0008944252909650766),
+        ]
+
 
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):
@@ -244,10 +274,66 @@ class TestConfigFileAndCli:
         assert all(r.frames == 2 for r in rows)
         assert "wrote" in capsys.readouterr().out
 
-    def test_cli_invalid_config_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, args, named",
+        [
+            ("[run]\nsnr_db =\n", [], None),
+            ("[channel]\ntau = 40\n", [], None),
+            ("[channel]\nkind = selective\ntaps = 20\n", [], None),
+            ("[run]\nsnr_db = nan\n", [], None),
+            ("[frame]\nmodulation = 16qam\n", [], None),
+            ("[receiver]\nbp_iters = 0\n", [], None),
+            ("[receiver]\nparticle_l = 1\n", [], None),
+            ("[receiver]\nparticle_shrink = 1.5\n", [], None),
+            ("[receiver]\nsigma_w2 = 0\n", [], None),
+            ("[receiver]\nem_refine_passes = -1\n", [], None),
+            ("[run]\njobs = 1\n[run]\njobs = 2\n", [], None),
+            ("jobs = 1\n", [], None),
+            ("[run]\njobs = 0\n", [], None),
+            ("[run]\njobs = -2\n", [], None),
+            ("[run]\n", ["--jobs", "0"], None),
+            ("[run]\nmin_frames = -3\n", [], None),
+            ("[run]\nsnr_db = 8, 8\n", [], None),
+            ("[reciever]\nbp_iters = 10\n", [], "reciever"),
+            ("[run]\ntrails_per_snr = 10\n", [], "trails_per_snr"),
+        ],
+        ids=[
+            "empty-snr", "tau-past-cp", "taps-past-cp", "snr-nan", "modulation",
+            "bp-iters", "particle-l", "particle-shrink", "sigma-w2", "refine-passes",
+            "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
+            "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
+        ],
+    )
+    def test_cli_invalid_config_exit_code(self, tmp_path, capsys, monkeypatch, text, args, named):
+        """Every invalid config exits 2 with one error line, before any trial."""
+
+        def no_run(cfg):
+            raise AssertionError("an invalid config reached run_experiment")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
         path = tmp_path / "bad.ini"
-        path.write_text("[run]\nsnr_db =\n")
-        assert cli.main(["run", str(path)]) == 2
+        path.write_text(text)
+        assert cli.main(["run", str(path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        if named is not None:
+            assert named in err
+
+    def test_readme_and_workload_inis_load(self, tmp_path):
+        """The README example and the benchmark workloads load, and the
+        loader table sets every ExperimentConfig field exactly once."""
+        fields = sorted(name for name, _ in _INI_KEYS.values())
+        assert fields == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        readme = (ROOT / "README.md").read_text()
+        path = tmp_path / "experiment.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert load_config(path) == ExperimentConfig(
+            snr_db_list=(8.0, 12.0, 16.0, 20.0), trials_per_snr=2000, em_bp_k=(1, 7)
+        )
+        workloads = sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))
+        assert len(workloads) == 3
+        for ini in workloads:
+            assert load_config(ini).jobs == 2
 
     def test_cli_missing_config_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.ini")]) == 2
