@@ -4,7 +4,6 @@ coding in a two-way relay channel."""
 from .channel import (
     ChannelRealization,
     NoiseModel,
-    PhaseTrajectory,
     exp_power_profile,
     phase_trajectory,
     sample_flat,

@@ -178,15 +178,9 @@ def simulate_uplink(
     return out
 
 
-@dataclass(eq=False)
-class PhaseTrajectory:
-    """Ground-truth per-symbol phase drift pairs, column 0 = node A."""
-
-    phases: np.ndarray  # (m_symbols, 2)
-
-
-def phase_trajectory(chan: ChannelRealization, m_symbols: int, config: FrameConfig) -> PhaseTrajectory:
-    """Per-OFDM-symbol phase drift implied by the per-sample CFO ramp.
+def phase_trajectory(chan: ChannelRealization, m_symbols: int, config: FrameConfig) -> np.ndarray:
+    """Per-OFDM-symbol phase drift pairs (m_symbols, 2) implied by the
+    per-sample CFO ramp, column 0 = node A.
 
     The single-phase summary of symbol m is the ramp value at the middle of
     its DFT window, sample index m*n_s + n_cp + (N-1)/2; for a linear ramp
@@ -195,8 +189,7 @@ def phase_trajectory(chan: ChannelRealization, m_symbols: int, config: FrameConf
     """
     m = np.arange(m_symbols)
     mid = m * config.n_s + config.n_cp + (config.n_fft - 1) / 2.0
-    phases = np.stack(
+    return np.stack(
         [2 * np.pi * chan.cfo_a * mid / config.n_fft, 2 * np.pi * chan.cfo_b * mid / config.n_fft],
         axis=1,
     )
-    return PhaseTrajectory(phases=phases)

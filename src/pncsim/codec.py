@@ -9,6 +9,10 @@ transmitted symbols (X_a, X_b), and two parallel copies of the RA check
 structure (one per node) hang off those factors.  Messages through the
 code constraints are per-node binary messages; the coupling between the
 nodes happens entirely inside the joint evidence factors.
+
+The decoder is sum-product with a flooding schedule in the log/LLR domain;
+both nodes' chains are stacked into (2, n) message arrays and updated in
+one pass per iteration (see ``JointPairDecoder``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .frame import Constellation
 
@@ -84,30 +87,25 @@ class PairPosterior:
     pair_bit: np.ndarray  # (k_info, 4)
 
 
-def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Check-node combination of two LLRs."""
-    return 2.0 * np.arctanh(np.tanh(0.5 * a) * np.tanh(0.5 * b))
-
-
 def _clip(llr: np.ndarray) -> np.ndarray:
     return np.clip(llr, -_LLR_MAX, _LLR_MAX)
 
 
-class _NodeChainState:
-    """Check-to-variable messages of one node's RA chain (flooding schedule)."""
-
-    def __init__(self, n: int):
-        self.to_prev = np.zeros(n)  # check t -> coded bit t-1 (t >= 1)
-        self.to_cur = np.zeros(n)  # check t -> coded bit t
-        self.to_info = np.zeros(n)  # check t -> info bit feeding check t
-
-
 class JointPairDecoder:
-    """Sum-product decoder over the two coupled RA chains.
+    """Sum-product decoder over the two coupled RA chains (flooding schedule).
 
-    A decoder instance holds only static structure (interleaver layout and
-    bit labelings); ``decode`` is a pure function of the evidence, so one
-    instance may be reused across frames.
+    Both chains run side by side: every per-coded-bit message is a (2, n)
+    array, row 0 for node A and row 1 for node B, and one flooding step
+    updates every check of both chains at once.  The evidence side works on
+    (Q^2, n_symbols) arrays, so per-symbol reductions run down short
+    columns.  A joint entry's log-prior is the sum of its bits'
+    log p(bit = v) = log p(bit = 1) + [v = 0] * llr.  The log p(bit = 1)
+    terms are the same for all Q^2 entries of a symbol and cancel in the
+    per-symbol max shift and in every ratio of beliefs, so they are
+    dropped, and the log-prior becomes one matmul of the incoming LLRs with
+    a fixed 0/1 matrix.  A decoder instance holds only static structure
+    (interleaver layout and bit labelings); ``decode`` is a pure function of
+    the evidence, so one instance may be reused across frames.
     """
 
     def __init__(self, ra_code: RaCode, constellation: Constellation):
@@ -121,80 +119,47 @@ class JointPairDecoder:
         self.n_symbols = n // b
         self.q_joint = q * q
         joint = np.arange(self.q_joint)
-        idx_a, idx_b = joint // q, joint % q
         shifts = np.arange(b - 1, -1, -1)
-        # bit p (MSB first) of each node's point index, per joint entry
-        self.bits = {
-            "a": ((idx_a[:, None] >> shifts) & 1).astype(np.int64),
-            "b": ((idx_b[:, None] >> shifts) & 1).astype(np.int64),
-        }
-        # mask matrix per node: column 2p+v selects joint entries whose bit p
-        # equals v, so one matmul yields every marginal sum at once
-        self.masks = {
-            u: np.stack(
-                [(self.bits[u][:, p] == v).astype(float) for p in range(b) for v in (0, 1)],
-                axis=1,
-            )
-            for u in ("a", "b")
-        }
-        self.info_of_check = ra_code.interleaver // ra_code.repeat
+        # [bit p (MSB first) of node u's point is 0] per joint entry, column u*b + p
+        zero = np.concatenate(
+            [((joint // q)[:, None] >> shifts) & 1, ((joint % q)[:, None] >> shifts) & 1], axis=1
+        ) == 0
+        # (Q^2, 2b): zero_bit @ (clipped incoming LLRs, (2b, n_symbols)) is
+        # every joint entry's log-prior, up to a constant per symbol
+        self.zero_bit = zero.astype(float)
+        # (4b, Q^2): belief sums over bit = 0 for all 2b bits, then over bit = 1
+        self.masks = np.concatenate([zero, ~zero], axis=1).T.astype(float)
+        # info bit feeding each check; node B's bits are counted in bins k..2k-1
+        info = ra_code.interleaver // ra_code.repeat
+        self.info_of_check = np.stack([info, info + ra_code.k_info])
 
-    def _evidence_llrs(self, log_tables, v2e_a, v2e_b):
-        """Messages from the joint evidence factors to every coded bit.
+    def _beliefs(self, log_tables, v2e):
+        """Belief of every joint entry, scaled so each symbol's largest is 1.
 
-        ``v2e_u`` are the code-side extrinsic LLRs of node u's coded bits.
-        Returns the new evidence-to-bit LLRs for both nodes, shape (n,).
-
-        The belief of a joint entry is the evidence times each involved
-        bit's incoming probability; within the set of entries sharing bit
-        value v at position p, that bit's own factor is the constant
-        p(bit=v), so the extrinsic message reduces to the masked belief sums
-        minus the incoming LLR.
+        ``log_tables`` is the log-evidence as (Q^2, n_symbols) and ``v2e``
+        (2, n) the code-side extrinsic LLRs of both nodes' coded bits.  The
+        belief of a joint entry is its evidence times each involved bit's
+        incoming probability, without the per-symbol constant
+        prod p(bit = 1).  Returns the (Q^2, n_symbols) beliefs and the
+        clipped incoming LLRs as (2b, n_symbols), row u*b + p.
         """
         b = self.constellation.bits_per_symbol
-        lp = {}
-        in_llr = {}
-        contrib = {}
-        for u, v2e in (("a", v2e_a), ("b", v2e_b)):
-            llr = _clip(v2e).reshape(self.n_symbols, b)
-            in_llr[u] = llr
-            # log p(bit=0), log p(bit=1) per symbol position
-            lp[u] = np.stack(
-                [-np.logaddexp(0.0, -llr), -np.logaddexp(0.0, llr)], axis=-1
-            )
-            c = np.zeros((self.n_symbols, self.q_joint))
-            for p in range(b):
-                c += lp[u][:, p, :][:, self.bits[u][:, p]]
-            contrib[u] = c
-        full = log_tables + contrib["a"] + contrib["b"]
-        flat = np.exp(full - full.max(axis=1, keepdims=True))
-        out = {}
+        x = _clip(v2e).reshape(2, self.n_symbols, b).transpose(0, 2, 1).reshape(2 * b, -1)
+        full = log_tables + self.zero_bit @ x
+        return np.exp(full - full.max(axis=0)), x
+
+    def _evidence_llrs(self, beliefs, x):
+        """Messages from the joint evidence factors to every coded bit, (2, n).
+
+        Within the set of entries sharing bit value v at position p, that
+        bit's own factor is the constant p(bit = v), so the extrinsic message
+        is the masked belief sums minus the incoming LLR.
+        """
+        b = self.constellation.bits_per_symbol
         with np.errstate(divide="ignore"):
-            for u in ("a", "b"):
-                sums = np.log(flat @ self.masks[u])  # (n_symbols, 2b)
-                llrs = sums[:, 0::2] - sums[:, 1::2] - in_llr[u]
-                out[u] = _clip(llrs.reshape(-1))
-        return out["a"], out["b"], full
-
-    def _chain_inputs(self, msg_ev, st: _NodeChainState):
-        """Variable-to-check messages of one RA chain."""
-        n = self.ra.n_coded
-        totals = np.bincount(self.info_of_check, weights=st.to_info, minlength=self.ra.k_info)
-        in_info = _clip(totals[self.info_of_check] - st.to_info)
-        in_cur = msg_ev.copy()
-        in_cur[:-1] += st.to_prev[1:]
-        in_cur = _clip(in_cur)
-        in_prev = np.empty(n)
-        in_prev[0] = _LLR_PIN  # c_{-1} is the constant 0
-        in_prev[1:] = _clip(msg_ev[:-1] + st.to_cur[:-1])
-        return in_prev, in_cur, in_info
-
-    @staticmethod
-    def _v2e(st: _NodeChainState) -> np.ndarray:
-        """Code-side extrinsic LLR of each coded bit (towards the evidence)."""
-        v = st.to_cur.copy()
-        v[:-1] += st.to_prev[1:]
-        return v
+            sums = np.log(self.masks @ beliefs)
+        llrs = sums[: 2 * b] - sums[2 * b :] - x
+        return _clip(llrs.reshape(2, b, -1).transpose(0, 2, 1).reshape(2, -1))
 
     def decode(self, evidence: PairEvidence, inner_iters: int) -> PairPosterior:
         if inner_iters < 1:
@@ -213,37 +178,48 @@ class JointPairDecoder:
                 f"evidence table all-zero at symbol index {int(np.flatnonzero(dead)[0])}"
             )
         with np.errstate(divide="ignore"):
-            log_tables = np.log(tables)
+            # symbol-minor: per-symbol max and sums reduce over axis 0, vectorised across symbols
+            log_tables = np.log(np.ascontiguousarray(tables.T))
 
-        states = {"a": _NodeChainState(self.ra.n_coded), "b": _NodeChainState(self.ra.n_coded)}
-        msg_ev = {"a": None, "b": None}
+        k = self.ra.k_info
+        n = self.ra.n_coded
+        bins = self.info_of_check.reshape(-1)
+        # check-to-variable messages of both chains
+        to_prev = np.zeros((2, n))  # check t -> coded bit t-1 (column 0 unused)
+        to_cur = np.zeros((2, n))  # check t -> coded bit t
+        to_info = np.zeros((2, n))  # check t -> info bit feeding check t
+        v2e = np.zeros((2, n))  # code-side extrinsic LLR of each coded bit
+        in_prev = np.empty((2, n))
+        in_prev[:, 0] = _LLR_PIN  # c_{-1} is the constant 0
         for _ in range(inner_iters):
-            msg_ev["a"], msg_ev["b"], _ = self._evidence_llrs(
-                log_tables, self._v2e(states["a"]), self._v2e(states["b"])
-            )
-            for u in ("a", "b"):
-                st = states[u]
-                in_prev, in_cur, in_info = self._chain_inputs(msg_ev[u], st)
-                new = _NodeChainState(self.ra.n_coded)
-                new.to_prev[1:] = _boxplus(in_cur[1:], in_info[1:])
-                new.to_cur = _boxplus(in_prev, in_info)
-                new.to_info = _boxplus(in_prev, in_cur)
-                states[u] = new
+            msg_ev = self._evidence_llrs(*self._beliefs(log_tables, v2e))
+            # variable-to-check messages
+            totals = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
+            in_info = _clip(totals[self.info_of_check] - to_info)
+            in_cur = msg_ev.copy()
+            in_cur[:, :-1] += to_prev[:, 1:]
+            in_cur = _clip(in_cur)
+            in_prev[:, 1:] = _clip(msg_ev[:, :-1] + to_cur[:, :-1])
+            # check-node boxplus, each input's tanh taken once
+            t_prev = np.tanh(0.5 * in_prev)
+            t_cur = np.tanh(0.5 * in_cur)
+            t_info = np.tanh(0.5 * in_info)
+            to_prev = 2.0 * np.arctanh(t_cur * t_info)
+            to_cur = 2.0 * np.arctanh(t_prev * t_info)
+            to_info = 2.0 * np.arctanh(t_prev * t_cur)
+            v2e = to_cur.copy()
+            v2e[:, :-1] += to_prev[:, 1:]
 
         # beliefs with the final messages
-        info_llr = {}
-        for u in ("a", "b"):
-            info_llr[u] = np.bincount(
-                self.info_of_check, weights=states[u].to_info, minlength=self.ra.k_info
-            )
-        p0a, p0b = expit(info_llr["a"]), expit(info_llr["b"])
+        info_llr = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
+        # P(bit = 0); info_llr sums three clipped-scale messages, so exp stays finite
+        p0 = 1.0 / (1.0 + np.exp(-info_llr))
+        p0a, p0b = p0[:k], p0[k:]
         pair_bit = np.stack(
             [p0a * p0b, p0a * (1 - p0b), (1 - p0a) * p0b, (1 - p0a) * (1 - p0b)], axis=1
         )
         pair_bit /= pair_bit.sum(axis=1, keepdims=True)
 
-        _, _, full = self._evidence_llrs(
-            log_tables, self._v2e(states["a"]), self._v2e(states["b"])
-        )
-        pair_symbol = np.exp(full - logsumexp(full, axis=1, keepdims=True))
+        beliefs, _ = self._beliefs(log_tables, v2e)
+        pair_symbol = np.ascontiguousarray((beliefs / beliefs.sum(axis=0)).T)
         return PairPosterior(pair_symbol=pair_symbol, pair_bit=pair_bit)

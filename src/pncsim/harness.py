@@ -26,6 +26,15 @@ from .codec import JointPairDecoder, RaCode, ra_encode
 _BATCH = 8  # stop-condition check granularity; fixed so results never depend on jobs
 
 
+# INI key of each ReceiverConfig/ParticleConfig field whose name differs from it
+_RX_FIELD_KEYS = {
+    "bp_inner_iters": "bp_iters",
+    "rounds": "particle_rounds",
+    "l_grid": "particle_l",
+    "shrink": "particle_shrink",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo sweep."""
@@ -94,7 +103,12 @@ class ExperimentConfig:
             raise ValueError("em_bp requested but no iteration counts given")
         if any(k < 1 for k in self.em_bp_k):
             raise ValueError("em_bp iteration counts must be >= 1")
-        self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
+        try:
+            self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
+        except ValueError as exc:
+            # those checks name ReceiverConfig/ParticleConfig fields; say the INI key
+            name, _, rest = str(exc).partition(" ")
+            raise ValueError(f"{_RX_FIELD_KEYS.get(name, name)} {rest}") from None
 
     def reported(self) -> list[tuple[str, int]]:
         """(receiver label, em iteration count) rows, in output order."""
@@ -150,8 +164,7 @@ class ExperimentResult:
 
 def mse_metric(estimated, truth) -> np.ndarray:
     """Per-node mean of |e^{j est} - e^{j true}|^2 over the OFDM symbols."""
-    est = estimated.phases if hasattr(estimated, "phases") else np.asarray(estimated)
-    tru = truth.phases if hasattr(truth, "phases") else np.asarray(truth)
+    est, tru = np.asarray(estimated), np.asarray(truth)
     if est.shape != tru.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {tru.shape}")
     return np.mean(np.abs(np.exp(1j * est) - np.exp(1j * tru)) ** 2, axis=0)
@@ -249,7 +262,7 @@ def run_single_trial(
     out = rx_mod.em_bp_receive(
         freq, chan, fc, ctx.tone_map, ctx.constellation, ctx.ra_code, rx_cfg, ctx.decoder
     )
-    truth = chan_mod.phase_trajectory(chan, fc.m_symbols, fc).phases
+    truth = chan_mod.phase_trajectory(chan, fc.m_symbols, fc)
     true_xor = np.bitwise_xor(info_a, info_b)
     errors = np.array(
         [int(np.sum(out.xor_history[k] != true_xor)) for k in ctx.report_ks]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, logsumexp
 
 from pncsim.codec import JointPairDecoder, PairEvidence, RaCode, ra_encode
-from pncsim.frame import BPSK, QPSK, make_constellation, map_bits
+from pncsim.frame import BPSK, QPSK, FrameConfig, make_constellation, map_bits
+from pncsim.receiver import pnc_map
 
 
 def oracle_encode(info_bits, interleaver):
@@ -305,3 +307,118 @@ class TestDecoderProperties:
         p2 = JointPairDecoder(ra, con).decode(ev, 6)
         np.testing.assert_array_equal(p1.pair_bit, p2.pair_bit)
         np.testing.assert_array_equal(p1.pair_symbol, p2.pair_symbol)
+
+
+def reference_decode(ra, constellation, tables, iters, llr_max=30.0, pin=1e30):
+    """The joint decoder in its per-node form: one RA chain per node, evidence
+    messages from full log p(bit = 0) / log p(bit = 1) priors (two
+    ``logaddexp`` calls), and one two-tanh boxplus per check output.
+
+    Same schedule and clip points as ``JointPairDecoder``; kept as the
+    oracle that the stacked, matmul-based decoder must reproduce.
+    """
+    q = constellation.size
+    b = constellation.bits_per_symbol
+    n_sym = ra.n_coded // b
+    joint = np.arange(q * q)
+    shifts = np.arange(b - 1, -1, -1)
+    bits = {"a": ((joint // q)[:, None] >> shifts) & 1, "b": ((joint % q)[:, None] >> shifts) & 1}
+    masks = {
+        u: np.stack([(bits[u][:, p] == v).astype(float) for p in range(b) for v in (0, 1)], axis=1)
+        for u in ("a", "b")
+    }
+    info_of_check = ra.interleaver // ra.repeat
+
+    def clip(x):
+        return np.clip(x, -llr_max, llr_max)
+
+    def boxplus(x, y):
+        return 2.0 * np.arctanh(np.tanh(0.5 * x) * np.tanh(0.5 * y))
+
+    def evidence_llrs(v2e):
+        in_llr, contrib = {}, {}
+        for u in ("a", "b"):
+            llr = clip(v2e[u]).reshape(n_sym, b)
+            in_llr[u] = llr
+            lp = np.stack([-np.logaddexp(0.0, -llr), -np.logaddexp(0.0, llr)], axis=-1)
+            contrib[u] = sum(lp[:, p, :][:, bits[u][:, p]] for p in range(b))
+        full = log_tables + contrib["a"] + contrib["b"]
+        flat = np.exp(full - full.max(axis=1, keepdims=True))
+        out = {}
+        with np.errstate(divide="ignore"):
+            for u in ("a", "b"):
+                sums = np.log(flat @ masks[u])
+                out[u] = clip((sums[:, 0::2] - sums[:, 1::2] - in_llr[u]).reshape(-1))
+        return out, full
+
+    with np.errstate(divide="ignore"):
+        log_tables = np.log(tables)
+    n = ra.n_coded
+    zeros = {"to_prev": np.zeros(n), "to_cur": np.zeros(n), "to_info": np.zeros(n)}
+    states = {"a": dict(zeros), "b": dict(zeros)}
+
+    def v2e_of(st):
+        v = st["to_cur"].copy()
+        v[:-1] += st["to_prev"][1:]
+        return v
+
+    for _ in range(iters):
+        msg_ev, _ = evidence_llrs({u: v2e_of(states[u]) for u in ("a", "b")})
+        for u in ("a", "b"):
+            st, msg = states[u], msg_ev[u]
+            totals = np.bincount(info_of_check, weights=st["to_info"], minlength=ra.k_info)
+            in_info = clip(totals[info_of_check] - st["to_info"])
+            in_cur = msg.copy()
+            in_cur[:-1] += st["to_prev"][1:]
+            in_cur = clip(in_cur)
+            in_prev = np.empty(n)
+            in_prev[0] = pin
+            in_prev[1:] = clip(msg[:-1] + st["to_cur"][:-1])
+            to_prev = np.zeros(n)
+            to_prev[1:] = boxplus(in_cur[1:], in_info[1:])
+            states[u] = {
+                "to_prev": to_prev,
+                "to_cur": boxplus(in_prev, in_info),
+                "to_info": boxplus(in_prev, in_cur),
+            }
+    p0 = {
+        u: expit(np.bincount(info_of_check, weights=states[u]["to_info"], minlength=ra.k_info))
+        for u in ("a", "b")
+    }
+    p0a, p0b = p0["a"], p0["b"]
+    pair_bit = np.stack(
+        [p0a * p0b, p0a * (1 - p0b), (1 - p0a) * p0b, (1 - p0a) * (1 - p0b)], axis=1
+    )
+    pair_bit /= pair_bit.sum(axis=1, keepdims=True)
+    _, full = evidence_llrs({u: v2e_of(states[u]) for u in ("a", "b")})
+    return pair_bit, np.exp(full - logsumexp(full, axis=1, keepdims=True))
+
+
+class TestMatchesReferenceDecoder:
+    """Full posteriors at the frame's real code lengths (M = 10 symbols)
+    equal those of the per-node reference decoder up to rounding."""
+
+    @pytest.mark.parametrize("iters", [1, 2, 20])
+    @pytest.mark.parametrize("kind", ["awgn-0db", "awgn-6db", "delta"])
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    def test_posteriors_match(self, mod, kind, iters):
+        con = make_constellation(mod)
+        k = FrameConfig(m_symbols=10, modulation=mod).k_info
+        ra = RaCode.build(k, seed=8)
+        rng = np.random.default_rng(31)
+        coded_a = ra_encode(rng.integers(0, 2, k), ra)
+        coded_b = ra_encode(rng.integers(0, 2, k), ra)
+        if kind == "delta":
+            ev = delta_evidence(coded_a, coded_b, con)
+            assert np.any(ev.tables == 0.0)  # log gives -inf entries
+        else:
+            ebn0_db = float(kind[5:-2])
+            sigma2 = 3.0 / (con.bits_per_symbol * 10 ** (ebn0_db / 10.0))
+            h_a = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            h_b = 0.8 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            ev, _ = pair_evidence_awgn(coded_a, coded_b, con, h_a, h_b, sigma2, rng)
+        post = JointPairDecoder(ra, con).decode(ev, iters)
+        ref_bit, ref_symbol = reference_decode(ra, con, ev.tables, iters)
+        np.testing.assert_allclose(post.pair_bit, ref_bit, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(post.pair_symbol, ref_symbol, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(pnc_map(post.pair_bit), pnc_map(ref_bit))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pncsim import cli, harness
-from pncsim.channel import PhaseTrajectory
 from pncsim.harness import (
     _INI_KEYS,
     CSV_COLUMNS,
@@ -36,11 +35,6 @@ class TestMseMetric:
     def test_wrap_invariance(self):
         t = np.random.default_rng(2).uniform(0, 2 * np.pi, (6, 2))
         np.testing.assert_allclose(mse_metric(t + 2 * np.pi, t), 0.0, atol=1e-12)
-
-    def test_accepts_trajectories(self):
-        t = np.zeros((4, 2))
-        traj = PhaseTrajectory(phases=t)
-        np.testing.assert_allclose(mse_metric(traj, traj), 0.0)
 
     def test_per_node_split(self):
         t = np.zeros((4, 2))
@@ -156,7 +150,10 @@ class TestRunExperiment:
     def test_pinned_seed_golden(self):
         """Exact rows for a pinned seed: a refactor that claims to keep the
         CSV unchanged must reproduce them bit for bit.  The config covers
-        the baseline, the M-step and the refine path on a selective channel."""
+        the baseline, the M-step and the refine path on a selective channel.
+        The em_bp MSEs were re-recorded when the decoder began building its
+        evidence messages from matmuls: they moved in the last digits only,
+        and every error, bit and frame count stayed the same."""
         cfg = _tiny_config(
             snr_db_list=(6.0, 10.0),
             em_bp_k=(1, 2),
@@ -171,10 +168,10 @@ class TestRunExperiment:
         assert got == [
             ("baseline", 0, 6.0, 57, 256, 4, 0.4033697682690225, 0.09243666901104974),
             ("baseline", 0, 10.0, 0, 256, 4, 0.02165348458046274, 0.06506893837894917),
-            ("em_bp", 1, 6.0, 48, 256, 4, 0.32481382494824945, 0.02678288105841476),
-            ("em_bp", 1, 10.0, 0, 256, 4, 0.0023740084267349056, 0.0013359237173776245),
-            ("em_bp", 2, 6.0, 45, 256, 4, 0.3287483204774969, 0.01636754898230806),
-            ("em_bp", 2, 10.0, 0, 256, 4, 0.002631000721252794, 0.0008944252909650766),
+            ("em_bp", 1, 6.0, 48, 256, 4, 0.32481382494824956, 0.026782881058414764),
+            ("em_bp", 1, 10.0, 0, 256, 4, 0.0023740084267349177, 0.0013359237173776203),
+            ("em_bp", 2, 6.0, 45, 256, 4, 0.32874832047749697, 0.016367548982308064),
+            ("em_bp", 2, 10.0, 0, 256, 4, 0.0026310007212528045, 0.0008944252909650686),
         ]
 
 
@@ -282,11 +279,12 @@ class TestConfigFileAndCli:
             ("[channel]\nkind = selective\ntaps = 20\n", [], None),
             ("[run]\nsnr_db = nan\n", [], None),
             ("[frame]\nmodulation = 16qam\n", [], None),
-            ("[receiver]\nbp_iters = 0\n", [], None),
-            ("[receiver]\nparticle_l = 1\n", [], None),
-            ("[receiver]\nparticle_shrink = 1.5\n", [], None),
-            ("[receiver]\nsigma_w2 = 0\n", [], None),
-            ("[receiver]\nem_refine_passes = -1\n", [], None),
+            ("[receiver]\nbp_iters = 0\n", [], "bp_iters"),
+            ("[receiver]\nparticle_l = 1\n", [], "particle_l"),
+            ("[receiver]\nparticle_shrink = 1.5\n", [], "particle_shrink"),
+            ("[receiver]\nparticle_rounds = -1\n", [], "particle_rounds"),
+            ("[receiver]\nsigma_w2 = 0\n", [], "sigma_w2"),
+            ("[receiver]\nem_refine_passes = -1\n", [], "em_refine_passes"),
             ("[run]\njobs = 1\n[run]\njobs = 2\n", [], None),
             ("jobs = 1\n", [], None),
             ("[run]\njobs = 0\n", [], None),
@@ -299,7 +297,8 @@ class TestConfigFileAndCli:
         ],
         ids=[
             "empty-snr", "tau-past-cp", "taps-past-cp", "snr-nan", "modulation",
-            "bp-iters", "particle-l", "particle-shrink", "sigma-w2", "refine-passes",
+            "bp-iters", "particle-l", "particle-shrink", "particle-rounds", "sigma-w2",
+            "refine-passes",
             "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
         ],
