@@ -6,9 +6,11 @@ references, then runs one joint BP decode.  The EM-BP receiver iterates:
 decode with the current phase pair, then re-estimate each OFDM symbol's
 phase pair by maximizing the posterior-weighted fit of the received tones
 with a shrinking particle grid, and finally decodes once more with the
-converged phases before taking the per-bit XOR decision.  The grid's
-full-plane lattice is anchored at each symbol's running phase estimate, not
-at absolute phase 0, so the search treats every true drift alike.
+converged phases before taking the per-bit XOR decision.  Each M-step is
+one objective build and one particle search batched over all M symbols.
+The grid's full-plane lattice is anchored at each symbol's running phase
+estimate, not at absolute phase 0, so the search treats every true drift
+alike.
 """
 
 from __future__ import annotations
@@ -135,13 +137,6 @@ def ls_pilot_phase(
     return _wrap(theta)
 
 
-def _joint_points(constellation: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    """Per joint-alphabet entry, the (X_a, X_b) constellation points."""
-    q = constellation.size
-    joint = np.arange(q * q)
-    return constellation.points[joint // q], constellation.points[joint % q]
-
-
 def pair_evidence(
     r: np.ndarray,
     chan: ChannelRealization,
@@ -159,28 +154,34 @@ def pair_evidence(
     """
     data = tone_map.data_tones
     r = r[:, data]  # (M, N_d)
-    xa, xb = _joint_points(constellation)
-    rot_a = np.exp(1j * theta[:, 0])[:, None, None]
-    rot_b = np.exp(1j * theta[:, 1])[:, None, None]
-    hyp = rot_a * chan.h_freq_a[data][None, :, None] * xa[None, None, :]
-    hyp += rot_b * chan.h_freq_b[data][None, :, None] * xb[None, None, :]
-    log_k = -np.abs(r[:, :, None] - hyp) ** 2 / sigma_w2
+    q = constellation.size
+    # each node's (M, N_d, Q) hypotheses; entry a*Q+b of a tone is their pair
+    # sum, built in one complex buffer that the residual then overwrites
+    h = np.stack([chan.h_freq_a[data], chan.h_freq_b[data]], axis=1)  # (N_d, 2)
+    hyp = (np.exp(1j * theta)[:, None, :] * h)[..., None] * constellation.points
+    resid = hyp[:, :, 0, :, None] + hyp[:, :, 1, None, :]
+    np.subtract(r[:, :, None, None], resid, out=resid)
+    log_k = np.abs(resid).reshape(*r.shape, q * q)  # later steps run in place
+    np.square(log_k, out=log_k)
+    log_k /= -sigma_w2
     log_k -= log_k.max(axis=2, keepdims=True)
-    tables = np.exp(log_k)
+    tables = np.exp(log_k, out=log_k)
     tables /= tables.sum(axis=2, keepdims=True)
-    return PairEvidence(tables=tables.reshape(-1, len(xa)))
+    return PairEvidence(tables=tables.reshape(-1, q * q))
 
 
 class PhaseObjective:
-    """Posterior-weighted fit of one OFDM symbol's phase drift pair.
+    """Posterior-weighted fit of the OFDM symbols' phase drift pairs.
 
     value(theta_a, theta_b) returns the negative expected squared residual
-    of the received occupied tones against the phase-rotated hypothesis:
-    data tones averaged over the decoder's joint symbol posterior, pilot
-    tones against their known symbols (the other node is silent there).
-    Larger is better; exactly 0 only for a perfect noiseless fit.  The sums
-    over tones and symbol pairs are folded into four sufficient statistics
-    so evaluation is O(1) per phase pair.
+    of each symbol's received occupied tones against the phase-rotated
+    hypothesis: data tones averaged over the decoder's joint symbol
+    posterior, pilot tones against their known symbols (the other node is
+    silent there).  Larger is better; exactly 0 only for a perfect noiseless
+    fit.  The sums over tones and symbol pairs are folded into four
+    sufficient statistics c0, s_a, s_b, s_ab, so evaluation is O(1) per
+    phase pair.  They are (M,) arrays for (M, N_d) data tones with an
+    (M, N_d, Q^2) posterior, and scalars for one symbol's (N_d,) row.
     """
 
     def __init__(
@@ -193,64 +194,53 @@ class PhaseObjective:
         pilot_a: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         pilot_b: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
-        xa, xb = _joint_points(constellation)
-        a = h_a_data[:, None] * xa[None, :]  # (N_d, Q^2)
-        b = h_b_data[:, None] * xb[None, :]
-        p = posterior
-        self.c0 = float(
-            np.sum(np.abs(r_data) ** 2)
-            + np.sum(p * (np.abs(a) ** 2 + np.abs(b) ** 2))
-        )
-        self.s_a = complex(np.sum(np.conj(r_data) * np.sum(p * a, axis=1)))
-        self.s_b = complex(np.sum(np.conj(r_data) * np.sum(p * b, axis=1)))
-        self.s_ab = complex(np.sum(p * a * np.conj(b)))
+        # One real matmul gives each tone's posterior means of |X_a|^2,
+        # |X_b|^2, X_a, X_b and X_a conj(X_b); one weighted sum over the tones
+        # follows, so no (..., N_d, Q^2) product is built.
+        pair = lambda a, b: np.array([abs(a) ** 2, abs(b) ** 2, a, b, a * np.conj(b)]).T
+        q, points = constellation.size, constellation.points
+        xa, xb = points.repeat(q), np.tile(points, q)  # joint entry a*Q + b
+        terms = np.ascontiguousarray(pair(xa, xb)).view(np.float64)  # (Q^2, 10) real
+        means = (posterior @ terms).view(np.complex128)  # (..., N_d, 5)
+        means[..., 2:4] *= np.conj(r_data)[..., None]
+        stats = (means * pair(h_a_data, h_b_data)).sum(axis=-2)
+        self.c0 = (np.abs(r_data) ** 2).sum(axis=-1) + stats[..., 0].real + stats[..., 1].real
         # pilot tones: known symbol for the owner, silence from the other
-        if pilot_a is not None:
-            r_p, h_p, vals = pilot_a
-            ref = vals * h_p
-            self.c0 += float(np.sum(np.abs(r_p) ** 2) + np.sum(np.abs(ref) ** 2))
-            self.s_a += complex(np.sum(np.conj(r_p) * ref))
-        if pilot_b is not None:
-            r_p, h_p, vals = pilot_b
-            ref = vals * h_p
-            self.c0 += float(np.sum(np.abs(r_p) ** 2) + np.sum(np.abs(ref) ** 2))
-            self.s_b += complex(np.sum(np.conj(r_p) * ref))
+        for col, pilot in ((2, pilot_a), (3, pilot_b)):
+            if pilot is not None:
+                r_p, h_p, vals = pilot
+                ref = vals * h_p
+                self.c0 += (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(ref) ** 2).sum()
+                stats[..., col] += np.conj(r_p) @ ref
+        self.s_a, self.s_b, self.s_ab = stats[..., 2], stats[..., 3], stats[..., 4]
 
     def value(self, theta_a, theta_b):
-        ra = np.exp(1j * np.asarray(theta_a))
-        rb = np.exp(1j * np.asarray(theta_b))
-        return -(
-            self.c0
-            - 2.0 * np.real(ra * self.s_a)
-            - 2.0 * np.real(rb * self.s_b)
-            + 2.0 * np.real(ra * np.conj(rb) * self.s_ab)
-        )
+        # Re(e^{jx} s) = |s| cos(x + angle(s)): three real cosines, no complex exp
+        return 2.0 * (
+            np.abs(self.s_a) * np.cos(theta_a + np.angle(self.s_a))
+            + np.abs(self.s_b) * np.cos(theta_b + np.angle(self.s_b))
+            - np.abs(self.s_ab) * np.cos(theta_a - theta_b + np.angle(self.s_ab))
+        ) - self.c0
 
 
 def build_phase_objective(
-    r_symbol: np.ndarray,
+    r: np.ndarray,
     chan: ChannelRealization,
     tone_map: ToneMap,
     constellation: Constellation,
-    posterior_symbol: np.ndarray,
+    posterior: np.ndarray,
     include_pilots: bool = True,
 ) -> PhaseObjective:
-    """Objective for one OFDM symbol row, with the pilot anchors wired in."""
+    """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, or
+    for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors."""
     data = tone_map.data_tones
     pilot_a = pilot_b = None
     if include_pilots:
         pa, pb = tone_map.pilot_tones_a, tone_map.pilot_tones_b
-        pilot_a = (r_symbol[pa], chan.h_freq_a[pa], tone_map.pilot_values_a)
-        pilot_b = (r_symbol[pb], chan.h_freq_b[pb], tone_map.pilot_values_b)
-    return PhaseObjective(
-        r_symbol[data],
-        chan.h_freq_a[data],
-        chan.h_freq_b[data],
-        posterior_symbol,
-        constellation,
-        pilot_a=pilot_a,
-        pilot_b=pilot_b,
-    )
+        pilot_a = (r[..., pa], chan.h_freq_a[pa], tone_map.pilot_values_a)
+        pilot_b = (r[..., pb], chan.h_freq_b[pb], tone_map.pilot_values_b)
+    h_a, h_b = chan.h_freq_a[data], chan.h_freq_b[data]
+    return PhaseObjective(r[..., data], h_a, h_b, posterior, constellation, pilot_a, pilot_b)
 
 
 def particle_m_step(
@@ -261,51 +251,79 @@ def particle_m_step(
     center: np.ndarray | None = None,
     span: float = 2.0 * np.pi,
 ) -> np.ndarray:
-    """Maximize a symbol's phase objective with a shrinking particle grid.
+    """Maximize the symbols' phase objectives with a shrinking particle grid.
 
-    Start from the l x l lattice covering ``span`` per axis (by default the
-    full plane, anchored at ``prev_theta``: prev_theta + 2pi*i/l; pass
-    ``center`` and a smaller span to refine around a known candidate); for
-    each round, weight the particles by exp((value - max value)/sigma_w2)
-    and pull every particle towards the weighted mean by the shrink factor;
-    finally return the best particle of the last round, or the initial
-    lattice argmax if that scores higher.  Degenerate weights return
-    ``prev_theta``.
+    ``prev_theta`` (and ``center``) is (M, 2) for an objective over M
+    symbols or (2,) for one, and so is the result.  The particles of all
+    rows run as one (2, M, L^2) array of theta_a and theta_b planes, and no
+    row affects another.  Start from the l x l lattice covering ``span`` per
+    axis (by default the full plane, anchored at ``prev_theta``:
+    prev_theta + 2pi*i/l; pass ``center`` and a smaller span to refine
+    around a known candidate); for each round, weight a row's particles by
+    exp((value - row max)/sigma_w2) and pull them towards their weighted
+    mean by the shrink factor; finally return each row's best particle of
+    the last round, or its initial lattice argmax if that scores higher.  A
+    row with degenerate weights returns its own ``prev_theta``, with one
+    warning.
 
     Because the lattice rides on the running estimate rather than on
     absolute phase 0, rotating the objective by (phi_a, phi_b) and
     ``prev_theta`` by the same pair rotates the result by that pair; no
     absolute phase is ever favoured as a candidate.
     """
+    prev = np.asarray(prev_theta, dtype=float)
+    rows = np.arange(prev.size // 2)
     l_grid = particle_cfg.l_grid
     base = span * np.arange(l_grid) / l_grid
     if center is None:
-        base = base + np.asarray(prev_theta, dtype=float)[:, None]
+        base = base + prev.reshape(-1, 2).T[:, :, None]  # (2, M, L)
     else:
-        base = base - span * (l_grid - 1) / (2 * l_grid) + np.asarray(center)[:, None]
-    ta, tb = np.meshgrid(base[0], base[1], indexing="ij")
-    particles = np.stack([ta.reshape(-1), tb.reshape(-1)], axis=1)  # (L^2, 2)
-    grid0_vals = objective.value(particles[:, 0], particles[:, 1])
-    grid0_best = particles[int(np.argmax(grid0_vals))].copy()
+        base = base - span * (l_grid - 1) / (2 * l_grid) + np.reshape(center, (-1, 2)).T[:, :, None]
+    # particle i*L + j pairs theta_a offset i with theta_b offset j
+    particles = np.stack([base[0].repeat(l_grid, axis=1), np.tile(base[1], l_grid)])
+    # (L^2, M) views broadcast against the objective's (M,) statistics
+    grid0_vals = objective.value(particles[0].T, particles[1].T).T
+    grid0_best = particles[:, rows, grid0_vals.argmax(axis=1)].T
 
     vals = grid0_vals
+    degenerate = np.zeros(len(rows), dtype=bool)
     for _ in range(particle_cfg.rounds):
-        shifted = vals - vals.max()
+        shifted = vals - vals.max(axis=1, keepdims=True)
         weights = np.exp(shifted / sigma_w2)
-        total = weights.sum()
-        if not np.isfinite(total) or total <= 0.0:
+        total = weights.sum(axis=1)
+        bad = ~(np.isfinite(total) & (total > 0.0))
+        for _ in range(np.count_nonzero(bad & ~degenerate)):
             warnings.warn("degenerate particle weights; keeping previous phase")
-            return np.asarray(prev_theta, dtype=float).copy()
-        weights /= total
-        mean = weights @ particles
+        degenerate |= bad
+        weights /= total[:, None]
+        mean = (weights * particles).sum(axis=2, keepdims=True)  # (2, M, 1)
         particles = (1.0 - particle_cfg.shrink) * particles + particle_cfg.shrink * mean
-        vals = objective.value(particles[:, 0], particles[:, 1])
+        vals = objective.value(particles[0].T, particles[1].T).T
 
-    best = particles[int(np.argmax(vals))]
+    best = particles[:, rows, vals.argmax(axis=1)].T
     # never return a particle worse than the coarse grid argmax
-    if np.max(grid0_vals) > np.max(vals):
-        best = grid0_best
-    return _wrap(best)
+    coarse = grid0_vals.max(axis=1) > vals.max(axis=1)
+    best = _wrap(np.where(coarse[:, None], grid0_best, best))
+    best[degenerate] = prev.reshape(-1, 2)[degenerate]
+    return best.reshape(prev.shape)
+
+
+def m_step(objective: PhaseObjective, theta: np.ndarray, rx_cfg: ReceiverConfig) -> np.ndarray:
+    """One EM M-step on the (M, 2) phases of an M-symbol objective, or the
+    (2,) phases of one symbol: the particle search, then per row the
+    monotone guard and the refine passes."""
+    value = lambda t: objective.value(t[..., 0], t[..., 1])
+    cand = particle_m_step(objective, theta, rx_cfg.particle, rx_cfg.sigma_w2)
+    # Keep the previous pair unless the search improves the objective: the
+    # search returns lattice-descended points, whose quantization error can
+    # exceed the pilot estimate's, so each EM round could degrade good phases.
+    cand = np.where((value(cand) < value(theta))[..., None], theta, cand)
+    span = 2.0 * np.pi
+    for _ in range(rx_cfg.em_refine_passes):
+        span *= 2.0 / rx_cfg.particle.l_grid
+        fine = particle_m_step(objective, cand, rx_cfg.particle, rx_cfg.sigma_w2, cand, span)
+        cand = np.where((value(fine) >= value(cand))[..., None], _wrap(fine), cand)
+    return cand
 
 
 @dataclass(eq=False)
@@ -348,7 +366,6 @@ def em_bp_receive(
     """
     if decoder is None:
         decoder = JointPairDecoder(ra_code, constellation)
-    n_data = len(tone_map.data_tones)
     m_symbols = frame_cfg.m_symbols
     k_total = rx_cfg.em_iters
 
@@ -363,27 +380,9 @@ def em_bp_receive(
         xor_history[k] = pnc_map(posterior.pair_bit)
         if k == k_total:
             break
-        tables = posterior.pair_symbol.reshape(m_symbols, n_data, -1)
-        new_theta = np.empty_like(theta)
-        for m in range(m_symbols):
-            obj = build_phase_objective(r[m], chan, tone_map, constellation, tables[m])
-            cand = particle_m_step(obj, theta[m], rx_cfg.particle, rx_cfg.sigma_w2)
-            # Keep the previous pair unless the search improves the objective:
-            # the search only returns lattice-descended points, whose
-            # quantization error can exceed the pilot estimate's, so without
-            # this each EM round could degrade good phases.
-            if obj.value(cand[0], cand[1]) < obj.value(theta[m, 0], theta[m, 1]):
-                cand = theta[m]
-            span = 2.0 * np.pi
-            for _ in range(rx_cfg.em_refine_passes):
-                span *= 2.0 / rx_cfg.particle.l_grid
-                fine = particle_m_step(
-                    obj, cand, rx_cfg.particle, rx_cfg.sigma_w2, center=cand, span=span
-                )
-                if obj.value(fine[0], fine[1]) >= obj.value(cand[0], cand[1]):
-                    cand = _wrap(fine)
-            new_theta[m] = cand
-        theta = new_theta
+        tables = posterior.pair_symbol.reshape(m_symbols, -1, constellation.size**2)
+        obj = build_phase_objective(r, chan, tone_map, constellation, tables)
+        theta = m_step(obj, theta, rx_cfg)
         theta_history[k + 1] = theta
 
     return EmBpResult(theta_history=theta_history, xor_history=xor_history)

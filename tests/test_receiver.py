@@ -1,5 +1,7 @@
 """Tests for demodulation, pilot phases, evidence, and the EM-BP loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from pncsim.receiver import (
     effective_noise_var,
     em_bp_receive,
     ls_pilot_phase,
+    m_step,
     pair_evidence,
     particle_m_step,
     pnc_map,
@@ -225,7 +228,36 @@ def oracle_evidence(r_tone, h_a, h_b, theta, points, sigma_w2):
     return out / out.sum()
 
 
+def reference_pair_evidence(r, chan, tone_map, constellation, theta, sigma_w2):
+    """The evidence build as first written, one full-size temporary per step."""
+    data = tone_map.data_tones
+    r = r[:, data]
+    q = constellation.size
+    joint = np.arange(q * q)
+    xa, xb = constellation.points[joint // q], constellation.points[joint % q]
+    rot_a = np.exp(1j * theta[:, 0])[:, None, None]
+    rot_b = np.exp(1j * theta[:, 1])[:, None, None]
+    hyp = rot_a * chan.h_freq_a[data][None, :, None] * xa[None, None, :]
+    hyp += rot_b * chan.h_freq_b[data][None, :, None] * xb[None, None, :]
+    log_k = -np.abs(r[:, :, None] - hyp) ** 2 / sigma_w2
+    log_k -= log_k.max(axis=2, keepdims=True)
+    tables = np.exp(log_k)
+    tables /= tables.sum(axis=2, keepdims=True)
+    return tables.reshape(-1, len(xa))
+
+
 class TestPairEvidence:
+    def test_bit_identical_to_reference(self, cfg):
+        """The in-place build rounds every step as the reference does, so the
+        tables of one seeded noisy frame agree bit for bit."""
+        tm, con = cfg.tone_map(), cfg.constellation()
+        chan = sample_selective(4, 1.0, np.random.default_rng(11), tau=2)
+        theta = np.random.default_rng(12).uniform(0, 2 * np.pi, (cfg.m_symbols, 2))
+        freq, _, _ = _received_with_phases(cfg, theta, chan, seed=13, sigma_n2=0.2)
+        got = pair_evidence(freq, chan, tm, con, theta, 0.25).tables
+        expect = reference_pair_evidence(freq, chan, tm, con, theta, 0.25)
+        np.testing.assert_array_equal(got, expect)
+
     def test_matches_direct_formula(self, cfg):
         rng = np.random.default_rng(7)
         tm, con = cfg.tone_map(), cfg.constellation()
@@ -525,6 +557,90 @@ class TestParticleMStep:
             got_rot = particle_m_step(rot, prev + phi, pcfg, sigma_w2)
             err = np.abs(np.angle(np.exp(1j * (got_rot - got - phi))))
             assert np.all(err < 1e-9)
+
+    @staticmethod
+    def _random_objectives(cfg, rng, m):
+        """PhaseObjective arguments for m random symbol rows sharing one channel."""
+        con = cfg.constellation()
+        n = len(cfg.tone_map().data_tones)
+        r, h_a, h_b = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((m, n), n, n)
+        )
+        post = rng.random((m, n, con.size**2))
+        post /= post.sum(axis=2, keepdims=True)
+        return r, h_a, h_b, post, con
+
+    def test_never_beats_exact_profile_oracle(self, cfg):
+        """The search never scores above the exact maximum of the objective.
+
+        For fixed theta_b the best theta_a is -angle(s_a - e^{-j theta_b} s_ab),
+        which leaves the 1-D profile
+        f(theta_b) = -c0 + 2 Re(e^{j theta_b} s_b) + 2 |s_a - e^{-j theta_b} s_ab|.
+        Its maximum comes from a dense grid whose every local maximum is
+        refined by three nested sub-grids, to far below the 1e-9 tolerance.
+        200 objectives run as four batched searches of 50 symbols each.
+        """
+        pcfg = ParticleConfig(rounds=4, l_grid=10, shrink=0.1)
+        rng = np.random.default_rng(35)
+        grid = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+        step = grid[1]
+        for sigma_w2 in (0.01, 0.1, 0.3, 1.0):
+            obj = PhaseObjective(*self._random_objectives(cfg, rng, 50))
+            prev = rng.uniform(0, 2 * np.pi, (50, 2))
+            got = particle_m_step(obj, prev, pcfg, sigma_w2)
+            got_vals = obj.value(got[:, 0], got[:, 1])
+            for i in range(50):
+                c0, s_a, s_b, s_ab = obj.c0[i], obj.s_a[i], obj.s_b[i], obj.s_ab[i]
+
+                def profile(tb):
+                    rb = np.exp(1j * tb)
+                    return -c0 + 2 * np.real(rb * s_b) + 2 * np.abs(s_a - np.conj(rb) * s_ab)
+
+                vals = profile(grid)
+                peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+                best = -np.inf
+                for tb in grid[peaks]:
+                    half = step
+                    for _ in range(3):
+                        fine = tb + np.linspace(-half, half, 201)
+                        tb = fine[np.argmax(profile(fine))]
+                        half /= 100
+                    best = max(best, profile(tb))
+                assert got_vals[i] <= best + 1e-9
+
+    def test_batched_equals_per_row_calls(self, cfg):
+        """One M-step over a stacked objective (search, monotone guard and a
+        refine pass) equals one single-symbol call per row.  A row whose
+        statistics are all NaN keeps its previous phases with one warning
+        per search, and leaves every other row bit-identical."""
+        rng = np.random.default_rng(36)
+        m, nan_row = 12, 5
+        r, h_a, h_b, post, con = self._random_objectives(cfg, rng, m)
+        theta = rng.uniform(0, 2 * np.pi, (m, 2))
+        rx_cfg = ReceiverConfig(sigma_w2=0.3, em_refine_passes=1)
+        clean = m_step(PhaseObjective(r, h_a, h_b, post, con), theta, rx_cfg)
+        batched = PhaseObjective(r, h_a, h_b, post, con)
+        rows = [PhaseObjective(r[i], h_a, h_b, post[i], con) for i in range(m)]
+        for name in ("c0", "s_a", "s_b", "s_ab"):
+            np.testing.assert_allclose(
+                getattr(batched, name), [getattr(o, name) for o in rows], rtol=1e-13
+            )
+            getattr(batched, name)[nan_row] = np.nan
+            setattr(rows[nan_row], name, np.nan)
+        with warnings.catch_warnings(record=True) as caught_batched:
+            warnings.simplefilter("always")
+            got = m_step(batched, theta, rx_cfg)
+        with warnings.catch_warnings(record=True) as caught_rows:
+            warnings.simplefilter("always")
+            expect = np.stack([m_step(rows[i], theta[i], rx_cfg) for i in range(m)])
+        assert np.max(np.abs(np.angle(np.exp(1j * (got - expect))))) < 1e-12
+        np.testing.assert_array_equal(got[nan_row], theta[nan_row])
+        others = np.arange(m) != nan_row
+        np.testing.assert_array_equal(got[others], clean[others])
+        messages = [str(w.message) for w in caught_batched]
+        assert messages == [str(w.message) for w in caught_rows]
+        assert messages == ["degenerate particle weights; keeping previous phase"] * 2
 
     def test_monte_carlo_accuracy_at_20db(self):
         """500 random trials with exact symbol knowledge at 20 dB.
