@@ -44,7 +44,6 @@ from .harness import (
 )
 from .receiver import (
     EmBpResult,
-    ParticleConfig,
     PhaseObjective,
     ReceiverConfig,
     build_phase_objective,

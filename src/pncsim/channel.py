@@ -144,7 +144,6 @@ def simulate_uplink(
     noise: NoiseModel,
     rng: np.random.Generator,
     config: FrameConfig,
-    allow_cp_violation: bool = False,
 ) -> np.ndarray:
     """Superimpose both nodes' frames at the relay, per-sample model.
 
@@ -157,11 +156,8 @@ def simulate_uplink(
     n_total = config.m_symbols * config.n_s
     if len(frame_a) != n_total or len(frame_b) != n_total:
         raise ValueError("frames must be m_symbols * n_s samples long")
-    if not chan.delay_spread_ok(config.n_cp) and not allow_cp_violation:
-        raise ValueError(
-            "delay spread exceeds the cyclic prefix; pass allow_cp_violation=True "
-            "to simulate the broken setup anyway"
-        )
+    if not chan.delay_spread_ok(config.n_cp):
+        raise ValueError("delay spread exceeds the cyclic prefix")
     n = np.arange(n_total)
     sig_a = np.convolve(frame_a, chan.taps_a)[:n_total]
     sig_b_full = np.convolve(frame_b, chan.taps_b)

@@ -25,11 +25,12 @@ def _parse_snr(raw: str | None):
 
 
 def _print_summary(result: harness.ExperimentResult) -> None:
+    # errors arrive in frame-sized bursts, so a bit-level binomial interval
+    # would be far too narrow; print the raw error count instead
     for row in result.rows:
-        lo, hi = harness.wilson_interval(round(row.ber * row.bits), row.bits)
         print(
             f"{row.receiver:>8} k={row.em_iters} snr={row.snr_db:5.1f} dB  "
-            f"ber={row.ber:.3e} [{lo:.3e}, {hi:.3e}]  "
+            f"ber={row.ber:.3e} errors={row.errors}  "
             f"mse=({row.mse_a:.3e}, {row.mse_b:.3e})  "
             f"frames={row.frames} ({row.seconds:.1f}s)"
         )

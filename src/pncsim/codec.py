@@ -33,20 +33,21 @@ _LLR_PIN = 1e30  # pseudo-message for the constant zero state ahead of the chain
 class RaCode:
     """Regular repeat-accumulate code shared by both end nodes."""
 
+    repeat = 3  # the code rate is 1/repeat
+
     k_info: int
     interleaver: np.ndarray
-    repeat: int = 3
 
     def __post_init__(self):
         n = self.k_info * self.repeat
         perm = np.asarray(self.interleaver)
         if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError("interleaver must be a permutation of 0..3k-1")
+            raise ValueError(f"interleaver must be a permutation of 0..{self.repeat}k-1")
 
     @classmethod
     def build(cls, k_info: int, seed: int) -> "RaCode":
         """Code with a uniformly random interleaver drawn from ``seed``."""
-        perm = np.random.default_rng(seed).permutation(k_info * 3)
+        perm = np.random.default_rng(seed).permutation(k_info * cls.repeat)
         return cls(k_info=k_info, interleaver=perm)
 
     @property

@@ -98,10 +98,9 @@ class ToneMap:
         return len(self.data_tones)
 
 
-def default_tone_map(n_fft: int = 64) -> ToneMap:
-    """Build the 802.11a-style tone map (only the 64-tone layout exists)."""
-    if n_fft != 64:
-        raise ValueError("the standard layout is defined for 64 tones")
+def default_tone_map() -> ToneMap:
+    """Build the 802.11a-style tone map of the FrameConfig.n_fft = 64 tone frame."""
+    n_fft = FrameConfig.n_fft
     active = [k for k in range(-26, 27) if k != 0]
     pilots = set(_PILOT_TONES_A) | set(_PILOT_TONES_B)
     data = np.array([_logical_to_bin(k, n_fft) for k in active if k not in pilots])
@@ -124,20 +123,19 @@ def default_tone_map(n_fft: int = 64) -> ToneMap:
 class FrameConfig:
     """OFDM numerology and code parameters for one frame.
 
-    The defaults are the 64-tone frame with a 16-sample cyclic prefix; the
-    data/pilot/zero tone split comes from ``tone_map()``.
+    Every frame is 64 tones with a 16-sample cyclic prefix and a rate-1/3
+    code; the data/pilot/zero tone split comes from ``tone_map()``.
     """
+
+    n_fft = 64
+    n_cp = 16
+    code_rate_inv = 3
 
     m_symbols: int
     modulation: str
     em_outer_iters: int = 0
-    n_fft: int = 64
-    n_cp: int = 16
-    code_rate_inv: int = 3
 
     def __post_init__(self):
-        if not 0 < self.n_cp < self.n_fft:
-            raise ValueError("cyclic prefix must be shorter than the DFT size")
         if self.m_symbols < 1:
             raise ValueError("a frame needs at least one OFDM symbol")
         if self.em_outer_iters < 0:
@@ -172,7 +170,7 @@ class FrameConfig:
         return self.n_coded_bits // self.code_rate_inv
 
     def tone_map(self) -> ToneMap:
-        return default_tone_map(self.n_fft)
+        return default_tone_map()
 
     def constellation(self) -> Constellation:
         return make_constellation(self.modulation)

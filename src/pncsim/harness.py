@@ -26,15 +26,6 @@ from .codec import JointPairDecoder, RaCode, ra_encode
 _BATCH = 8  # stop-condition check granularity; fixed so results never depend on jobs
 
 
-# INI key of each ReceiverConfig/ParticleConfig field whose name differs from it
-_RX_FIELD_KEYS = {
-    "bp_inner_iters": "bp_iters",
-    "rounds": "particle_rounds",
-    "l_grid": "particle_l",
-    "shrink": "particle_shrink",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo sweep."""
@@ -56,13 +47,12 @@ class ExperimentConfig:
     tau: int | None = None  # None draws uniformly from the CP-safe range
     receivers: tuple = ("baseline", "em_bp")
     em_bp_k: tuple = (7,)
-    bp_inner_iters: int = 20
+    bp_iters: int = 20
     particle_rounds: int = 4
     particle_l: int = 10
     particle_shrink: float = 0.1
     em_refine_passes: int = 0
     sigma_w2_override: float | None = None
-    ls_includes_channel: bool = True
     noiseless: bool = False
     master_seed: int = 1
     output_path: str = "result.csv"
@@ -103,12 +93,7 @@ class ExperimentConfig:
             raise ValueError("em_bp requested but no iteration counts given")
         if any(k < 1 for k in self.em_bp_k):
             raise ValueError("em_bp iteration counts must be >= 1")
-        try:
-            self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
-        except ValueError as exc:
-            # those checks name ReceiverConfig/ParticleConfig fields; say the INI key
-            name, _, rest = str(exc).partition(" ")
-            raise ValueError(f"{_RX_FIELD_KEYS.get(name, name)} {rest}") from None
+        self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
 
     def reported(self) -> list[tuple[str, int]]:
         """(receiver label, em iteration count) rows, in output order."""
@@ -127,11 +112,10 @@ class ExperimentConfig:
         return rx_mod.ReceiverConfig(
             sigma_w2=sigma_w2,
             em_iters=max(k for _, k in self.reported()),
-            bp_inner_iters=self.bp_inner_iters,
-            particle=rx_mod.ParticleConfig(
-                rounds=self.particle_rounds, l_grid=self.particle_l, shrink=self.particle_shrink
-            ),
-            ls_includes_channel=self.ls_includes_channel,
+            bp_iters=self.bp_iters,
+            particle_rounds=self.particle_rounds,
+            particle_l=self.particle_l,
+            particle_shrink=self.particle_shrink,
             em_refine_passes=self.em_refine_passes,
         )
 
@@ -429,13 +413,12 @@ _INI_KEYS = {
     ("channel", "tau"): ("tau", _none_if("random", int)),
     ("receiver", "receivers"): ("receivers", _csv(str)),
     ("receiver", "em_bp_k"): ("em_bp_k", _csv(int)),
-    ("receiver", "bp_iters"): ("bp_inner_iters", int),
+    ("receiver", "bp_iters"): ("bp_iters", int),
     ("receiver", "particle_rounds"): ("particle_rounds", int),
     ("receiver", "particle_l"): ("particle_l", int),
     ("receiver", "particle_shrink"): ("particle_shrink", float),
     ("receiver", "em_refine_passes"): ("em_refine_passes", int),
     ("receiver", "sigma_w2"): ("sigma_w2_override", _none_if("auto", float)),
-    ("receiver", "ls_includes_channel"): ("ls_includes_channel", _bool),
     ("run", "snr_db"): ("snr_db_list", _csv(float)),
     ("run", "trials_per_snr"): ("trials_per_snr", int),
     ("run", "min_errors"): ("min_errors", int),

@@ -16,7 +16,7 @@ alike.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,37 +30,21 @@ _SIGMA_W2_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class ParticleConfig:
-    """Shrinking-grid search parameters: an l_grid x l_grid lattice over the
-    full phase plane, anchored at the running estimate."""
-
-    rounds: int = 4
-    l_grid: int = 10
-    shrink: float = 0.1
-
-    def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if self.l_grid < 2:
-            raise ValueError("l_grid must be >= 2")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class ReceiverConfig:
-    """Tunables of the relay receiver."""
+    """Tunables of the relay receiver; each shares its name with its INI key,
+    except em_iters, the largest reported EM iteration count."""
 
     sigma_w2: float
     em_iters: int = 0
-    bp_inner_iters: int = 20
-    particle: ParticleConfig = field(default_factory=ParticleConfig)
-    # Correlate pilots against (pilot * channel)* so the angle isolates the
-    # drift; False reproduces the plain pilot-conjugate correlation.
-    ls_includes_channel: bool = True
+    bp_iters: int = 20
+    # shrinking-grid search: a particle_l x particle_l lattice over the full
+    # phase plane, anchored at the running estimate
+    particle_rounds: int = 4
+    particle_l: int = 10
+    particle_shrink: float = 0.1
     # Extra windowed passes of the particle search around the running
-    # winner, each narrowing the lattice span by 2/l_grid.  The coarse
-    # lattice alone quantizes phases to 2*pi/l_grid, which caps tracking
+    # winner, each narrowing the lattice span by 2/particle_l.  The coarse
+    # lattice alone quantizes phases to 2*pi/particle_l, which caps tracking
     # accuracy well above what the data tones support; 0 keeps the bare
     # single-pass search.
     em_refine_passes: int = 0
@@ -70,8 +54,14 @@ class ReceiverConfig:
             raise ValueError("sigma_w2 must be positive and finite")
         if self.em_iters < 0:
             raise ValueError("em_iters must be >= 0")
-        if self.bp_inner_iters < 1:
-            raise ValueError("bp_inner_iters must be >= 1")
+        if self.bp_iters < 1:
+            raise ValueError("bp_iters must be >= 1")
+        if self.particle_rounds < 0:
+            raise ValueError("particle_rounds must be >= 0")
+        if self.particle_l < 2:
+            raise ValueError("particle_l must be >= 2")
+        if not 0 < self.particle_shrink < 1:
+            raise ValueError("particle_shrink must lie in (0, 1)")
         if self.em_refine_passes < 0:
             raise ValueError("em_refine_passes must be >= 0")
 
@@ -82,14 +72,14 @@ def _wrap(theta: np.ndarray) -> np.ndarray:
     return np.where(out >= 2.0 * np.pi, 0.0, out)
 
 
-def effective_noise_var(sigma_n2: float, cfo_spread: float, signal_power: float = 1.0) -> float:
+def effective_noise_var(sigma_n2: float, cfo_spread: float) -> float:
     """Noise-plus-ICI variance the receiver assumes per tone.
 
     The ICI term uses the small-CFO approximation at the edge of the CFO
-    range (|cfo| <= cfo_spread/2), summed over both nodes:
-    2 * (pi*cfo_spread/2)^2 / 3 * per-node per-tone signal power.
+    range (|cfo| <= cfo_spread/2), summed over both nodes, for unit per-node
+    per-tone signal power: 2 * (pi*cfo_spread/2)^2 / 3.
     """
-    ici = 2.0 * (np.pi * cfo_spread / 2.0) ** 2 / 3.0 * signal_power
+    ici = 2.0 * (np.pi * cfo_spread / 2.0) ** 2 / 3.0
     return max(sigma_n2 + ici, _SIGMA_W2_FLOOR)
 
 
@@ -108,15 +98,14 @@ def ls_pilot_phase(
     tone_map: ToneMap,
     h_a: np.ndarray,
     h_b: np.ndarray,
-    include_channel: bool = True,
 ) -> np.ndarray:
     """Least-squares pilot correlation phases, independently per node and symbol.
 
     Returns the (m_symbols, 2) phase pairs of the demodulated frame ``r`` in
-    [0, 2pi), column 0 = node A.  With ``include_channel`` the correlation
-    reference is the known pilot symbol times the known channel, so the
-    angle is the phase drift alone.  A zero-magnitude correlation falls back
-    to the previous symbol's estimate (0 for the first symbol).
+    [0, 2pi), column 0 = node A.  The correlation reference is the known
+    pilot symbol times the known channel, so the angle is the phase drift
+    alone.  A zero-magnitude correlation falls back to the previous symbol's
+    estimate (0 for the first symbol).
     """
     m_symbols = r.shape[0]
     theta = np.zeros((m_symbols, 2))
@@ -125,8 +114,7 @@ def ls_pilot_phase(
         (tone_map.pilot_tones_b, tone_map.pilot_values_b, h_b),
     )
     for col, (tones, values, h) in enumerate(refs):
-        ref = values * h[tones] if include_channel else values
-        corr = r[:, tones] @ np.conj(ref)
+        corr = r[:, tones] @ np.conj(values * h[tones])
         mags = np.abs(corr)
         for m in range(m_symbols):
             if mags[m] == 0.0:
@@ -229,16 +217,13 @@ def build_phase_objective(
     tone_map: ToneMap,
     constellation: Constellation,
     posterior: np.ndarray,
-    include_pilots: bool = True,
 ) -> PhaseObjective:
     """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, or
     for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors."""
     data = tone_map.data_tones
-    pilot_a = pilot_b = None
-    if include_pilots:
-        pa, pb = tone_map.pilot_tones_a, tone_map.pilot_tones_b
-        pilot_a = (r[..., pa], chan.h_freq_a[pa], tone_map.pilot_values_a)
-        pilot_b = (r[..., pb], chan.h_freq_b[pb], tone_map.pilot_values_b)
+    pa, pb = tone_map.pilot_tones_a, tone_map.pilot_tones_b
+    pilot_a = (r[..., pa], chan.h_freq_a[pa], tone_map.pilot_values_a)
+    pilot_b = (r[..., pb], chan.h_freq_b[pb], tone_map.pilot_values_b)
     h_a, h_b = chan.h_freq_a[data], chan.h_freq_b[data]
     return PhaseObjective(r[..., data], h_a, h_b, posterior, constellation, pilot_a, pilot_b)
 
@@ -246,25 +231,24 @@ def build_phase_objective(
 def particle_m_step(
     objective: PhaseObjective,
     prev_theta: np.ndarray,
-    particle_cfg: ParticleConfig,
-    sigma_w2: float,
+    rx_cfg: ReceiverConfig,
     center: np.ndarray | None = None,
     span: float = 2.0 * np.pi,
 ) -> np.ndarray:
     """Maximize the symbols' phase objectives with a shrinking particle grid.
 
     ``prev_theta`` (and ``center``) is (M, 2) for an objective over M
-    symbols or (2,) for one, and so is the result.  The particles of all
-    rows run as one (2, M, L^2) array of theta_a and theta_b planes, and no
-    row affects another.  Start from the l x l lattice covering ``span`` per
-    axis (by default the full plane, anchored at ``prev_theta``:
-    prev_theta + 2pi*i/l; pass ``center`` and a smaller span to refine
-    around a known candidate); for each round, weight a row's particles by
-    exp((value - row max)/sigma_w2) and pull them towards their weighted
-    mean by the shrink factor; finally return each row's best particle of
-    the last round, or its initial lattice argmax if that scores higher.  A
-    row with degenerate weights returns its own ``prev_theta``, with one
-    warning.
+    symbols or (2,) for one, and so is the result.  With L = particle_l, the
+    particles of all rows run as one (2, M, L^2) array of theta_a and
+    theta_b planes, and no row affects another.  Start from the L x L
+    lattice covering ``span`` per axis (by default the full plane, anchored
+    at ``prev_theta``: prev_theta + 2pi*i/L; pass ``center`` and a smaller
+    span to refine around a known candidate); for each of particle_rounds
+    rounds, weight a row's particles by exp((value - row max)/sigma_w2) and
+    pull them towards their weighted mean by particle_shrink; finally return
+    each row's best particle of the last round, or its initial lattice
+    argmax if that scores higher.  A row with degenerate weights returns its
+    own ``prev_theta``, with one warning.
 
     Because the lattice rides on the running estimate rather than on
     absolute phase 0, rotating the objective by (phi_a, phi_b) and
@@ -273,7 +257,7 @@ def particle_m_step(
     """
     prev = np.asarray(prev_theta, dtype=float)
     rows = np.arange(prev.size // 2)
-    l_grid = particle_cfg.l_grid
+    l_grid, shrink = rx_cfg.particle_l, rx_cfg.particle_shrink
     base = span * np.arange(l_grid) / l_grid
     if center is None:
         base = base + prev.reshape(-1, 2).T[:, :, None]  # (2, M, L)
@@ -287,9 +271,9 @@ def particle_m_step(
 
     vals = grid0_vals
     degenerate = np.zeros(len(rows), dtype=bool)
-    for _ in range(particle_cfg.rounds):
+    for _ in range(rx_cfg.particle_rounds):
         shifted = vals - vals.max(axis=1, keepdims=True)
-        weights = np.exp(shifted / sigma_w2)
+        weights = np.exp(shifted / rx_cfg.sigma_w2)
         total = weights.sum(axis=1)
         bad = ~(np.isfinite(total) & (total > 0.0))
         for _ in range(np.count_nonzero(bad & ~degenerate)):
@@ -297,7 +281,7 @@ def particle_m_step(
         degenerate |= bad
         weights /= total[:, None]
         mean = (weights * particles).sum(axis=2, keepdims=True)  # (2, M, 1)
-        particles = (1.0 - particle_cfg.shrink) * particles + particle_cfg.shrink * mean
+        particles = (1.0 - shrink) * particles + shrink * mean
         vals = objective.value(particles[0].T, particles[1].T).T
 
     best = particles[:, rows, vals.argmax(axis=1)].T
@@ -313,15 +297,15 @@ def m_step(objective: PhaseObjective, theta: np.ndarray, rx_cfg: ReceiverConfig)
     (2,) phases of one symbol: the particle search, then per row the
     monotone guard and the refine passes."""
     value = lambda t: objective.value(t[..., 0], t[..., 1])
-    cand = particle_m_step(objective, theta, rx_cfg.particle, rx_cfg.sigma_w2)
+    cand = particle_m_step(objective, theta, rx_cfg)
     # Keep the previous pair unless the search improves the objective: the
     # search returns lattice-descended points, whose quantization error can
     # exceed the pilot estimate's, so each EM round could degrade good phases.
     cand = np.where((value(cand) < value(theta))[..., None], theta, cand)
     span = 2.0 * np.pi
     for _ in range(rx_cfg.em_refine_passes):
-        span *= 2.0 / rx_cfg.particle.l_grid
-        fine = particle_m_step(objective, cand, rx_cfg.particle, rx_cfg.sigma_w2, cand, span)
+        span *= 2.0 / rx_cfg.particle_l
+        fine = particle_m_step(objective, cand, rx_cfg, cand, span)
         cand = np.where((value(fine) >= value(cand))[..., None], _wrap(fine), cand)
     return cand
 
@@ -369,14 +353,14 @@ def em_bp_receive(
     m_symbols = frame_cfg.m_symbols
     k_total = rx_cfg.em_iters
 
-    theta = ls_pilot_phase(r, tone_map, chan.h_freq_a, chan.h_freq_b, rx_cfg.ls_includes_channel)
+    theta = ls_pilot_phase(r, tone_map, chan.h_freq_a, chan.h_freq_b)
     theta_history = np.empty((k_total + 1, m_symbols, 2))
     xor_history = np.empty((k_total + 1, ra_code.k_info), dtype=np.int64)
     theta_history[0] = theta
 
     for k in range(k_total + 1):
         evidence = pair_evidence(r, chan, tone_map, constellation, theta, rx_cfg.sigma_w2)
-        posterior = decoder.decode(evidence, rx_cfg.bp_inner_iters)
+        posterior = decoder.decode(evidence, rx_cfg.bp_iters)
         xor_history[k] = pnc_map(posterior.pair_bit)
         if k == k_total:
             break

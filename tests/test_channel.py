@@ -153,10 +153,6 @@ class TestSimulateUplink:
         chan = sample_selective(4, 1.0, np.random.default_rng(9), tau=14)  # 14+3 > 16
         with pytest.raises(ValueError, match="delay spread"):
             simulate_uplink(fa, fb, chan, NoiseModel(0.0), np.random.default_rng(0), cfg)
-        simulate_uplink(
-            fa, fb, chan, NoiseModel(0.0), np.random.default_rng(0), cfg,
-            allow_cp_violation=True,
-        )
 
     def test_boundary_delay_allowed(self, cfg):
         fa, fb = make_frames(cfg)

@@ -19,6 +19,7 @@ from pncsim.harness import (
     wilson_interval,
     with_overrides,
 )
+from pncsim.receiver import ReceiverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -264,7 +265,7 @@ class TestConfigFileAndCli:
         assert cfg.delta == 0.05
         assert cfg.tau is None
         assert cfg.snr_db_list == (5.0, 7.0)
-        assert cfg.bp_inner_iters == 10
+        assert cfg.bp_iters == 10
         assert cfg.master_seed == 123
 
     def test_missing_file_raises(self, tmp_path):
@@ -280,7 +281,15 @@ class TestConfigFileAndCli:
         rows = parse_csv(out)
         assert {r.snr_db for r in rows} == {6.0}
         assert all(r.frames == 2 for r in rows)
-        assert "wrote" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"wrote {out}"
+        # one summary line per CSV row, in CSV order, naming the row's XOR
+        # error count and no bit-level interval
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines):
+            assert line.split()[:2] == [row.receiver, f"k={row.em_iters}"]
+            assert f" errors={round(row.ber * row.bits)} " in line
+            assert "[" not in line
 
     @pytest.mark.parametrize(
         "text, args, named",
@@ -296,6 +305,7 @@ class TestConfigFileAndCli:
             ("[receiver]\nparticle_rounds = -1\n", [], "particle_rounds"),
             ("[receiver]\nsigma_w2 = 0\n", [], "sigma_w2"),
             ("[receiver]\nem_refine_passes = -1\n", [], "em_refine_passes"),
+            ("[receiver]\nls_includes_channel = false\n", [], "ls_includes_channel"),
             ("[run]\njobs = 1\n[run]\njobs = 2\n", [], None),
             ("jobs = 1\n", [], None),
             ("[run]\njobs = 0\n", [], None),
@@ -309,7 +319,7 @@ class TestConfigFileAndCli:
         ids=[
             "empty-snr", "tau-past-cp", "taps-past-cp", "snr-nan", "modulation",
             "bp-iters", "particle-l", "particle-shrink", "particle-rounds", "sigma-w2",
-            "refine-passes",
+            "refine-passes", "removed-key",
             "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
         ],
@@ -334,6 +344,10 @@ class TestConfigFileAndCli:
         loader table sets every ExperimentConfig field exactly once."""
         fields = sorted(name for name, _ in _INI_KEYS.values())
         assert fields == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        # each receiver tunable has one name, from the INI key to ReceiverConfig
+        ini_keys = {key for _, key in _INI_KEYS}
+        rx_fields = {f.name for f in dataclasses.fields(ReceiverConfig)} - {"em_iters"}
+        assert rx_fields <= ini_keys
         readme = (ROOT / "README.md").read_text()
         path = tmp_path / "experiment.ini"
         path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])

@@ -27,7 +27,6 @@ from pncsim.frame import (
     transmit_frame,
 )
 from pncsim.receiver import (
-    ParticleConfig,
     PhaseObjective,
     ReceiverConfig,
     build_phase_objective,
@@ -203,15 +202,6 @@ class TestLsPilotPhase:
         with pytest.warns(UserWarning, match="zero pilot correlation"):
             est = ls_pilot_phase(freq, tm, np.ones(64, complex), np.ones(64, complex))
         np.testing.assert_array_equal(est, 0.0)
-
-    def test_literal_variant_ignores_channel(self, cfg):
-        tm = cfg.tone_map()
-        chan = unit_taps_channel(phase_a=0.7)
-        theta = np.zeros((cfg.m_symbols, 2))
-        freq, _, _ = _received_with_phases(cfg, theta, chan)
-        est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b, include_channel=False)
-        # the plain pilot-conjugate correlation folds the channel phase in
-        np.testing.assert_allclose(est[:, 0], 0.7, atol=1e-9)
 
 
 def oracle_evidence(r_tone, h_a, h_b, theta, points, sigma_w2):
@@ -392,8 +382,9 @@ class TestPhaseObjective:
             hyp = np.exp(1j * th[1]) * tm.pilot_values_b[i] * chan.h_freq_b[tone]
             expect -= abs(r_sym[tone] - hyp) ** 2
         assert abs(got - expect) < 1e-10
-        got_data_only = build_phase_objective(
-            r_sym, chan, tm, con, post, include_pilots=False
+        data = tm.data_tones
+        got_data_only = PhaseObjective(
+            r_sym[data], chan.h_freq_a[data], chan.h_freq_b[data], post, con
         ).value(*th)
         expect_data_only = oracle_objective(
             th, r_sym[tm.data_tones], chan.h_freq_a[tm.data_tones],
@@ -483,19 +474,18 @@ class _QuadraticObjective:
 
 class TestParticleMStep:
     def test_peak_on_grid_returned_exactly(self):
-        pcfg = ParticleConfig(rounds=4, l_grid=10, shrink=0.1)
         peak = np.array([2 * np.pi * 3 / 10, 2 * np.pi * 7 / 10])
         obj = _QuadraticObjective(peak, curvature=200.0)
-        got = particle_m_step(obj, np.zeros(2), pcfg, sigma_w2=1e-3)
+        got = particle_m_step(obj, np.zeros(2), ReceiverConfig(sigma_w2=1e-3))
         np.testing.assert_allclose(got, peak, atol=1e-12)
 
     def test_p_zero_equals_grid_argmax(self):
-        pcfg = ParticleConfig(rounds=0, l_grid=10, shrink=0.1)
+        rx_cfg = ReceiverConfig(sigma_w2=0.3, particle_rounds=0)
         rng = np.random.default_rng(31)
         for _ in range(20):
             peak = rng.uniform(0, 2 * np.pi, 2)
             obj = _QuadraticObjective(peak, curvature=rng.uniform(5, 100))
-            got = particle_m_step(obj, np.zeros(2), pcfg, sigma_w2=0.3)
+            got = particle_m_step(obj, np.zeros(2), rx_cfg)
             base = 2 * np.pi * np.arange(10) / 10
             ta, tb = np.meshgrid(base, base, indexing="ij")
             lattice = np.stack([ta.reshape(-1), tb.reshape(-1)], axis=1)
@@ -504,11 +494,11 @@ class TestParticleMStep:
 
     def test_improvement_over_coarse_grid(self):
         """The returned point never scores below the initial lattice argmax."""
-        pcfg = ParticleConfig(rounds=4, l_grid=10, shrink=0.1)
         rng = np.random.default_rng(32)
         for _ in range(20):
             obj = _QuadraticObjective(rng.uniform(0, 2 * np.pi, 2), rng.uniform(3, 300))
-            got = particle_m_step(obj, np.zeros(2), pcfg, sigma_w2=rng.uniform(0.01, 1.0))
+            rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
+            got = particle_m_step(obj, np.zeros(2), rx_cfg)
             base = 2 * np.pi * np.arange(10) / 10
             ta, tb = np.meshgrid(base, base, indexing="ij")
             lattice = np.stack([ta.reshape(-1), tb.reshape(-1)], axis=1)
@@ -520,10 +510,10 @@ class TestParticleMStep:
             def value(self, a, b):
                 return np.full(np.broadcast(a, b).shape, np.nan)
 
-        pcfg = ParticleConfig(rounds=2, l_grid=4, shrink=0.1)
+        rx_cfg = ReceiverConfig(sigma_w2=0.1, particle_rounds=2, particle_l=4)
         prev = np.array([0.5, 1.5])
         with pytest.warns(UserWarning, match="degenerate particle weights"):
-            got = particle_m_step(NanObjective(), prev, pcfg, sigma_w2=0.1)
+            got = particle_m_step(NanObjective(), prev, rx_cfg)
         np.testing.assert_array_equal(got, prev)
 
     def test_equivariant_under_phase_rotation(self, cfg):
@@ -537,7 +527,6 @@ class TestParticleMStep:
         """
         con = cfg.constellation()
         n = len(cfg.tone_map().data_tones)
-        pcfg = ParticleConfig(rounds=4, l_grid=10, shrink=0.1)
         rng = np.random.default_rng(33)
         for _ in range(200):
             r, h_a, h_b = (
@@ -552,9 +541,9 @@ class TestParticleMStep:
             rot.s_b *= np.exp(-1j * phi[1])
             rot.s_ab *= np.exp(-1j * (phi[0] - phi[1]))
             prev = rng.uniform(0, 2 * np.pi, 2)
-            sigma_w2 = rng.uniform(0.01, 1.0)
-            got = particle_m_step(obj, prev, pcfg, sigma_w2)
-            got_rot = particle_m_step(rot, prev + phi, pcfg, sigma_w2)
+            rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
+            got = particle_m_step(obj, prev, rx_cfg)
+            got_rot = particle_m_step(rot, prev + phi, rx_cfg)
             err = np.abs(np.angle(np.exp(1j * (got_rot - got - phi))))
             assert np.all(err < 1e-9)
 
@@ -581,14 +570,13 @@ class TestParticleMStep:
         refined by three nested sub-grids, to far below the 1e-9 tolerance.
         200 objectives run as four batched searches of 50 symbols each.
         """
-        pcfg = ParticleConfig(rounds=4, l_grid=10, shrink=0.1)
         rng = np.random.default_rng(35)
         grid = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
         step = grid[1]
         for sigma_w2 in (0.01, 0.1, 0.3, 1.0):
             obj = PhaseObjective(*self._random_objectives(cfg, rng, 50))
             prev = rng.uniform(0, 2 * np.pi, (50, 2))
-            got = particle_m_step(obj, prev, pcfg, sigma_w2)
+            got = particle_m_step(obj, prev, ReceiverConfig(sigma_w2=sigma_w2))
             got_vals = obj.value(got[:, 0], got[:, 1])
             for i in range(50):
                 c0, s_a, s_b, s_ab = obj.c0[i], obj.s_a[i], obj.s_b[i], obj.s_ab[i]
@@ -653,9 +641,8 @@ class TestParticleMStep:
         con = make_constellation(QPSK)
         tm = default_tone_map()
         data = tm.data_tones
-        pcfg = ParticleConfig(rounds=4, l_grid=10, shrink=0.1)
         sigma_n2 = NoiseModel.from_ebn0_db(20.0, 1 / 3, 2).sigma_n2
-        sigma_w2 = effective_noise_var(sigma_n2, 0.1)
+        rx_cfg = ReceiverConfig(sigma_w2=effective_noise_var(sigma_n2, 0.1))
         cell = 2 * np.pi / 10
         ok_coarse = 0
         ok_fine = 0
@@ -676,10 +663,8 @@ class TestParticleMStep:
             obj = PhaseObjective(
                 r, np.ones(len(data), complex), np.ones(len(data), complex), post, con
             )
-            coarse = particle_m_step(obj, np.zeros(2), pcfg, sigma_w2)
-            fine = particle_m_step(
-                obj, coarse, pcfg, sigma_w2, center=coarse, span=2 * cell
-            )
+            coarse = particle_m_step(obj, np.zeros(2), rx_cfg)
+            fine = particle_m_step(obj, coarse, rx_cfg, center=coarse, span=2 * cell)
             if obj.value(fine[0], fine[1]) < obj.value(coarse[0], coarse[1]):
                 fine = coarse
             err_c = np.max(np.abs(np.angle(np.exp(1j * (coarse - truth)))))
@@ -752,7 +737,7 @@ class TestEmBpReceive:
         )
         est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
         ev = pair_evidence(freq, chan, tm, con, est, rx_cfg.sigma_w2)
-        post = JointPairDecoder(ra, con).decode(ev, rx_cfg.bp_inner_iters)
+        post = JointPairDecoder(ra, con).decode(ev, rx_cfg.bp_iters)
         np.testing.assert_array_equal(out.xor_history[-1], pnc_map(post.pair_bit))
         np.testing.assert_array_equal(out.theta_history[-1], est)
 
