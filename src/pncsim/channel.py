@@ -21,8 +21,9 @@ class ChannelRealization:
     """One draw of the uplink channel pair.
 
     ``h_freq_a``/``h_freq_b`` are the length-N frequency responses seen in
-    the DFT window; node B's includes the phase ramp of its relative delay.
-    CFOs are normalized to the subcarrier spacing.
+    the DFT window, N = ``FrameConfig.n_fft``; node B's includes the phase
+    ramp of its relative delay.  The tap counts are the lengths of the tap
+    arrays.  CFOs are normalized to the subcarrier spacing.
     """
 
     taps_a: np.ndarray
@@ -30,7 +31,6 @@ class ChannelRealization:
     relative_delay: int
     cfo_a: float
     cfo_b: float
-    n_fft: int
     h_freq_a: np.ndarray = field(init=False)
     h_freq_b: np.ndarray = field(init=False)
 
@@ -39,9 +39,10 @@ class ChannelRealization:
         self.taps_b = np.asarray(self.taps_b, dtype=complex)
         if self.relative_delay < 0:
             raise ValueError("relative delay must be nonnegative")
-        self.h_freq_a = np.fft.fft(self.taps_a, n=self.n_fft)
-        ramp = np.exp(-2j * np.pi * np.arange(self.n_fft) * self.relative_delay / self.n_fft)
-        self.h_freq_b = np.fft.fft(self.taps_b, n=self.n_fft) * ramp
+        n_fft = FrameConfig.n_fft
+        self.h_freq_a = np.fft.fft(self.taps_a, n=n_fft)
+        ramp = np.exp(-2j * np.pi * np.arange(n_fft) * self.relative_delay / n_fft)
+        self.h_freq_b = np.fft.fft(self.taps_b, n=n_fft) * ramp
 
     def delay_spread_ok(self, n_cp: int) -> bool:
         """Whether the delays stay within the cyclic prefix."""
@@ -95,7 +96,6 @@ def _draw_taps(rng: np.random.Generator, profile: np.ndarray) -> np.ndarray:
 
 def sample_flat(
     rng: np.random.Generator,
-    n_fft: int = 64,
     tau: int = 0,
     cfo_a: float = 0.0,
     cfo_b: float = 0.0,
@@ -108,7 +108,6 @@ def sample_flat(
         relative_delay=tau,
         cfo_a=cfo_a,
         cfo_b=cfo_b,
-        n_fft=n_fft,
     )
 
 
@@ -116,7 +115,6 @@ def sample_selective(
     n_taps: int,
     decay: float,
     rng: np.random.Generator,
-    n_fft: int = 64,
     tau: int = 0,
     cfo_a: float = 0.0,
     cfo_b: float = 0.0,
@@ -133,7 +131,6 @@ def sample_selective(
         relative_delay=tau,
         cfo_a=cfo_a,
         cfo_b=cfo_b,
-        n_fft=n_fft,
     )
 
 
@@ -174,16 +171,16 @@ def simulate_uplink(
     return out
 
 
-def phase_trajectory(chan: ChannelRealization, m_symbols: int, config: FrameConfig) -> np.ndarray:
-    """Per-OFDM-symbol phase drift pairs (m_symbols, 2) implied by the
-    per-sample CFO ramp, column 0 = node A.
+def phase_trajectory(chan: ChannelRealization, config: FrameConfig) -> np.ndarray:
+    """Per-OFDM-symbol phase drift pairs (config.m_symbols, 2) implied by
+    the per-sample CFO ramp, column 0 = node A.
 
     The single-phase summary of symbol m is the ramp value at the middle of
     its DFT window, sample index m*n_s + n_cp + (N-1)/2; for a linear ramp
     that midpoint minimizes the worst-case deviation within the window.
     Used for scoring estimates only, never shown to the receiver.
     """
-    m = np.arange(m_symbols)
+    m = np.arange(config.m_symbols)
     mid = m * config.n_s + config.n_cp + (config.n_fft - 1) / 2.0
     return np.stack(
         [2 * np.pi * chan.cfo_a * mid / config.n_fft, 2 * np.pi * chan.cfo_b * mid / config.n_fft],

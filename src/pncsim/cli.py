@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -69,6 +70,9 @@ def main(argv=None) -> int:
                 (replace(cfg, channel_kind="selective", decay=c), f"{stem}_c{c:g}.csv")
                 for c in (0.25, 1.0)
             ]
+        for _, path in runs:
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"output directory of {path!r} does not exist")
     except (OSError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import Constellation
+from .frame import Constellation, FrameConfig
 
 # Messages are clipped so that boxplus stays away from atanh(1) and so that
 # near-deltas (noiseless evidence) remain representable: exp(-30) ~ 1e-13.
@@ -33,7 +33,7 @@ _LLR_PIN = 1e30  # pseudo-message for the constant zero state ahead of the chain
 class RaCode:
     """Regular repeat-accumulate code shared by both end nodes."""
 
-    repeat = 3  # the code rate is 1/repeat
+    repeat = FrameConfig.code_rate_inv  # the code rate is 1/repeat
 
     k_info: int
     interleaver: np.ndarray

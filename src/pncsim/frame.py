@@ -19,14 +19,10 @@ MODULATIONS = (BPSK, QPSK)
 # 802.11a-style 64-tone layout: occupied tones are the logical subcarriers
 # -26..-1 and +1..+26; DC and the outer +-27..+-31 band stay empty as guard
 # tones. Of the four 802.11 pilot positions, node A owns {-21, -7} and node
-# B owns {+7, +21}; each node nulls the other's pilot tones.
+# B owns {+7, +21}; each node nulls the other's pilot tones. Logical index
+# k (negative = upper half) sits in DFT bin k mod N.
 _PILOT_TONES_A = (-21, -7)
 _PILOT_TONES_B = (7, 21)
-
-
-def _logical_to_bin(k: int, n_fft: int) -> int:
-    """Map a logical subcarrier index (negative = upper half) to a DFT bin."""
-    return k % n_fft
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,14 +57,13 @@ def make_constellation(modulation: str) -> Constellation:
 
 @dataclass(frozen=True, eq=False)
 class ToneMap:
-    """Partition of the DFT bins into data, per-node pilot, and zero tones.
+    """Partition of the ``FrameConfig.n_fft`` DFT bins into data, per-node pilot and zero tones.
 
     ``pilot_values_a``/``pilot_values_b`` are the known unit-magnitude
     symbols a node transmits on its own pilot tones; they are constant
     across OFDM symbols (all +1).
     """
 
-    n_fft: int
     data_tones: np.ndarray
     pilot_tones_a: np.ndarray
     pilot_tones_b: np.ndarray
@@ -85,7 +80,7 @@ class ToneMap:
         ]
         total = sum(len(s) for s in sets)
         union = set().union(*sets)
-        if total != self.n_fft or union != set(range(self.n_fft)):
+        if total != FrameConfig.n_fft or union != set(range(FrameConfig.n_fft)):
             raise ValueError("tone sets must partition the DFT bins")
         if sets[1] & sets[2]:
             raise ValueError("pilot tone sets of the two nodes must be disjoint")
@@ -103,13 +98,12 @@ def default_tone_map() -> ToneMap:
     n_fft = FrameConfig.n_fft
     active = [k for k in range(-26, 27) if k != 0]
     pilots = set(_PILOT_TONES_A) | set(_PILOT_TONES_B)
-    data = np.array([_logical_to_bin(k, n_fft) for k in active if k not in pilots])
-    pilot_a = np.array([_logical_to_bin(k, n_fft) for k in _PILOT_TONES_A])
-    pilot_b = np.array([_logical_to_bin(k, n_fft) for k in _PILOT_TONES_B])
+    data = np.array([k % n_fft for k in active if k not in pilots])
+    pilot_a = np.array([k % n_fft for k in _PILOT_TONES_A])
+    pilot_b = np.array([k % n_fft for k in _PILOT_TONES_B])
     used = set(data.tolist()) | set(pilot_a.tolist()) | set(pilot_b.tolist())
     zero = np.array(sorted(set(range(n_fft)) - used))
     return ToneMap(
-        n_fft=n_fft,
         data_tones=data,
         pilot_tones_a=pilot_a,
         pilot_tones_b=pilot_b,
@@ -123,8 +117,9 @@ def default_tone_map() -> ToneMap:
 class FrameConfig:
     """OFDM numerology and code parameters for one frame.
 
-    Every frame is 64 tones with a 16-sample cyclic prefix and a rate-1/3
-    code; the data/pilot/zero tone split comes from ``tone_map()``.
+    It owns the frame layout the other modules read: the 64-tone DFT size,
+    the 16-sample cyclic prefix and the code rate 1/code_rate_inv = 1/3,
+    which ``RaCode`` reads; the tone split comes from ``tone_map()``.
     """
 
     n_fft = 64
@@ -201,13 +196,10 @@ def demap_bits(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
     return ((idx[:, None] >> shifts) & 1).astype(np.int64).reshape(-1)
 
 
-def build_payload_grid(
-    data_symbols: np.ndarray, tone_map: ToneMap, m_symbols: int, node: str
-) -> np.ndarray:
+def build_payload_grid(data_symbols: np.ndarray, tone_map: ToneMap, node: str) -> np.ndarray:
     """Place one node's data symbols and pilots onto the (M, N) tone grid."""
-    n_data = tone_map.n_data
-    data_symbols = np.asarray(data_symbols).reshape(m_symbols, n_data)
-    grid = np.zeros((m_symbols, tone_map.n_fft), dtype=complex)
+    data_symbols = np.asarray(data_symbols).reshape(-1, tone_map.n_data)
+    grid = np.zeros((len(data_symbols), FrameConfig.n_fft), dtype=complex)
     grid[:, tone_map.data_tones] = data_symbols
     if node == "a":
         grid[:, tone_map.pilot_tones_a] = tone_map.pilot_values_a
@@ -236,5 +228,5 @@ def transmit_frame(
     if coded_bits.size != config.n_coded_bits:
         raise ValueError("coded bit count does not fill the frame's data tones")
     symbols = map_bits(coded_bits, constellation)
-    grid = build_payload_grid(symbols, tone_map, config.m_symbols, node)
+    grid = build_payload_grid(symbols, tone_map, node)
     return ofdm_modulate(grid, config.n_cp)

@@ -181,8 +181,6 @@ class _TrialContext:
     cfg: ExperimentConfig
     frame_cfg: frame_mod.FrameConfig
     tone_map: frame_mod.ToneMap
-    constellation: frame_mod.Constellation
-    ra_code: RaCode
     decoder: JointPairDecoder
     report_ks: tuple
 
@@ -191,14 +189,11 @@ def _make_context(cfg: ExperimentConfig) -> _TrialContext:
     ks = tuple(k for _, k in cfg.reported())
     frame_cfg = frame_mod.default_config(cfg.modulation, cfg.m_symbols, max(ks))
     ra_code = RaCode.build(frame_cfg.k_info, cfg.interleaver_seed)
-    constellation = frame_cfg.constellation()
     return _TrialContext(
         cfg=cfg,
         frame_cfg=frame_cfg,
         tone_map=frame_cfg.tone_map(),
-        constellation=constellation,
-        ra_code=ra_code,
-        decoder=JointPairDecoder(ra_code, constellation),
+        decoder=JointPairDecoder(ra_code, frame_cfg.constellation()),
         report_ks=ks,
     )
 
@@ -214,11 +209,11 @@ def run_single_trial(
     )
     if cfg.channel_kind == "flat":
         n_taps_b = 1
-        draw = lambda tau, ca, cb: chan_mod.sample_flat(rng, fc.n_fft, tau, ca, cb)
+        draw = lambda tau, ca, cb: chan_mod.sample_flat(rng, tau, ca, cb)
     else:
         n_taps_b = cfg.n_taps
         draw = lambda tau, ca, cb: chan_mod.sample_selective(
-            cfg.n_taps, cfg.decay, rng, fc.n_fft, tau, ca, cb
+            cfg.n_taps, cfg.decay, rng, tau, ca, cb
         )
     if cfg.tau is None:
         tau = int(rng.integers(0, fc.n_cp - n_taps_b + 2))
@@ -233,20 +228,18 @@ def run_single_trial(
     info_a = rng.integers(0, 2, fc.k_info)
     info_b = rng.integers(0, 2, fc.k_info)
     frame_a = frame_mod.transmit_frame(
-        ra_encode(info_a, ctx.ra_code), fc, ctx.tone_map, ctx.constellation, "a"
+        ra_encode(info_a, ctx.decoder.ra), fc, ctx.tone_map, ctx.decoder.constellation, "a"
     )
     frame_b = frame_mod.transmit_frame(
-        ra_encode(info_b, ctx.ra_code), fc, ctx.tone_map, ctx.constellation, "b"
+        ra_encode(info_b, ctx.decoder.ra), fc, ctx.tone_map, ctx.decoder.constellation, "b"
     )
     samples = chan_mod.simulate_uplink(
         frame_a, frame_b, chan, chan_mod.NoiseModel(sigma_n2), rng, fc
     )
     freq = rx_mod.demodulate(samples, fc)
     rx_cfg = cfg.receiver_config(sigma_n2)
-    out = rx_mod.em_bp_receive(
-        freq, chan, fc, ctx.tone_map, ctx.constellation, ctx.ra_code, rx_cfg, ctx.decoder
-    )
-    truth = chan_mod.phase_trajectory(chan, fc.m_symbols, fc)
+    out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, rx_cfg)
+    truth = chan_mod.phase_trajectory(chan, fc)
     true_xor = np.bitwise_xor(info_a, info_b)
     errors = np.array(
         [int(np.sum(out.xor_history[k] != true_xor)) for k in ctx.report_ks]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .codec import JointPairDecoder, PairEvidence, RaCode
+from .codec import JointPairDecoder, PairEvidence
 from .frame import Constellation, FrameConfig, ToneMap
 
 # Floor for the effective noise variance so that noiseless ablations yield
@@ -334,28 +334,25 @@ def pnc_map(pair_bit_posteriors: np.ndarray) -> np.ndarray:
 def em_bp_receive(
     r: np.ndarray,
     chan: ChannelRealization,
-    frame_cfg: FrameConfig,
     tone_map: ToneMap,
-    constellation: Constellation,
-    ra_code: RaCode,
+    decoder: JointPairDecoder,
     rx_cfg: ReceiverConfig,
-    decoder: JointPairDecoder | None = None,
 ) -> EmBpResult:
     """Run pilot initialization, the EM-BP loop, and the final XOR decision.
 
-    ``r`` is the demodulated frame.  The final phases and XOR decisions are
-    the last entries of the histories.  With ``em_iters == 0`` this
-    degenerates to the pilot-only baseline: LS phases followed by a single
-    BP decode.
+    M comes from the demodulated (M, N) frame ``r``; the code, its k_info and
+    the constellation from ``decoder``, which rejects a frame that does not
+    fill its code.  The final phases and XOR decisions are the last entries
+    of the histories.  With ``em_iters == 0`` this is the pilot-only
+    baseline: LS phases followed by a single BP decode.
     """
-    if decoder is None:
-        decoder = JointPairDecoder(ra_code, constellation)
-    m_symbols = frame_cfg.m_symbols
+    constellation = decoder.constellation
+    m_symbols = r.shape[0]
     k_total = rx_cfg.em_iters
 
     theta = ls_pilot_phase(r, tone_map, chan.h_freq_a, chan.h_freq_b)
     theta_history = np.empty((k_total + 1, m_symbols, 2))
-    xor_history = np.empty((k_total + 1, ra_code.k_info), dtype=np.int64)
+    xor_history = np.empty((k_total + 1, decoder.ra.k_info), dtype=np.int64)
     theta_history[0] = theta
 
     for k in range(k_total + 1):

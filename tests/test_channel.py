@@ -88,7 +88,7 @@ class TestSimulateUplink:
         fa, fb = make_frames(cfg)
         chan = ChannelRealization(
             taps_a=np.array([1.0]), taps_b=np.array([1.0]),
-            relative_delay=0, cfo_a=0.0, cfo_b=0.0, n_fft=64,
+            relative_delay=0, cfo_a=0.0, cfo_b=0.0,
         )
         out = simulate_uplink(fa, fb, chan, NoiseModel(0.0), np.random.default_rng(0), cfg)
         np.testing.assert_allclose(out, fa + fb, atol=1e-15)
@@ -166,7 +166,7 @@ class TestSimulateUplink:
         zero = np.zeros(m * big.n_s, dtype=complex)
         chan = ChannelRealization(
             taps_a=np.array([1.0]), taps_b=np.array([1.0]),
-            relative_delay=0, cfo_a=0.0, cfo_b=0.0, n_fft=64,
+            relative_delay=0, cfo_a=0.0, cfo_b=0.0,
         )
         sigma_n2 = 0.37
         out = simulate_uplink(
@@ -192,12 +192,12 @@ class TestNoiseModel:
 class TestPhaseTrajectory:
     def test_zero_cfo_constant_zero(self, cfg):
         chan = sample_flat(np.random.default_rng(0))
-        traj = phase_trajectory(chan, 6, cfg)
+        traj = phase_trajectory(chan, default_config(QPSK, 6, 0))
         np.testing.assert_array_equal(traj, 0.0)
 
     def test_linear_drift_increment(self, cfg):
         chan = sample_flat(np.random.default_rng(0), cfo_a=0.04, cfo_b=-0.02)
-        traj = phase_trajectory(chan, 6, cfg)
+        traj = phase_trajectory(chan, default_config(QPSK, 6, 0))
         inc = np.diff(traj, axis=0)
         np.testing.assert_allclose(inc[:, 0], 2 * np.pi * 0.04 * cfg.n_s / 64, atol=1e-12)
         np.testing.assert_allclose(inc[:, 1], 2 * np.pi * -0.02 * cfg.n_s / 64, atol=1e-12)
@@ -208,7 +208,7 @@ class TestPhaseTrajectory:
         cfo = 0.05
         chan = sample_flat(np.random.default_rng(0), cfo_a=cfo)
         m = 2
-        traj = phase_trajectory(chan, 4, cfg)
+        traj = phase_trajectory(chan, cfg)
         n_idx = np.arange(m * cfg.n_s + cfg.n_cp, (m + 1) * cfg.n_s)
         ramp = 2 * np.pi * cfo * n_idx / 64
         stored = traj[m, 0]

@@ -130,8 +130,8 @@ class TestPayloadGrid:
         tm, con = cfg.tone_map(), cfg.constellation()
         rng = np.random.default_rng(0)
         syms = map_bits(rng.integers(0, 2, cfg.n_coded_bits), con)
-        grid_a = build_payload_grid(syms, tm, 2, "a")
-        grid_b = build_payload_grid(syms, tm, 2, "b")
+        grid_a = build_payload_grid(syms, tm, "a")
+        grid_b = build_payload_grid(syms, tm, "b")
         np.testing.assert_allclose(grid_a[:, tm.pilot_tones_a], 1.0)
         np.testing.assert_allclose(grid_a[:, tm.pilot_tones_b], 0.0)  # nulls the other node's
         np.testing.assert_allclose(grid_b[:, tm.pilot_tones_b], 1.0)
@@ -142,5 +142,5 @@ class TestPayloadGrid:
         cfg = default_config(BPSK, 1, 0)
         tm, con = cfg.tone_map(), cfg.constellation()
         syms = map_bits(np.arange(48) % 2, con)
-        grid = build_payload_grid(syms, tm, 1, "a")
+        grid = build_payload_grid(syms, tm, "a")
         np.testing.assert_allclose(grid[0, tm.data_tones], syms)

@@ -315,6 +315,8 @@ class TestConfigFileAndCli:
             ("[run]\nsnr_db = 8, 8\n", [], None),
             ("[reciever]\nbp_iters = 10\n", [], "reciever"),
             ("[run]\ntrails_per_snr = 10\n", [], "trails_per_snr"),
+            ("[run]\nout = no_such_dir/x.csv\n", [], "no_such_dir/x.csv"),
+            ("[run]\n", ["--out", "no_such_dir/x.csv"], "no_such_dir/x.csv"),
         ],
         ids=[
             "empty-snr", "tau-past-cp", "taps-past-cp", "snr-nan", "modulation",
@@ -322,6 +324,7 @@ class TestConfigFileAndCli:
             "refine-passes", "removed-key",
             "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
+            "out-dir-missing", "cli-out-dir-missing",
         ],
     )
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys, monkeypatch, text, args, named):

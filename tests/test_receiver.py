@@ -53,7 +53,6 @@ def unit_taps_channel(cfo_a=0.0, cfo_b=0.0, tau=0, phase_a=0.0, phase_b=0.0):
         relative_delay=tau,
         cfo_a=cfo_a,
         cfo_b=cfo_b,
-        n_fft=64,
     )
 
 
@@ -165,7 +164,6 @@ class TestLsPilotPhase:
             tones_a = base.pilot_tones_a[:n_pilots_a]
             dropped = base.pilot_tones_a[n_pilots_a:]
             return ToneMap(
-                n_fft=64,
                 data_tones=base.data_tones,
                 pilot_tones_a=tones_a,
                 pilot_tones_b=base.pilot_tones_b,
@@ -723,7 +721,7 @@ class TestEmBpReceive:
             sigma_w2=effective_noise_var(sigma_n2, max(abs(cfo[0]), abs(cfo[1])) * 2),
             em_iters=em_iters,
         )
-        out = em_bp_receive(freq, chan, cfg, tm, con, ra, rx_cfg)
+        out = em_bp_receive(freq, chan, tm, JointPairDecoder(ra, con), rx_cfg)
         return out, (info_a, info_b), (freq, chan, tm, con, ra, rx_cfg)
 
     def test_noiseless_zero_cfo_exact(self, cfg):
@@ -740,6 +738,14 @@ class TestEmBpReceive:
         post = JointPairDecoder(ra, con).decode(ev, rx_cfg.bp_iters)
         np.testing.assert_array_equal(out.xor_history[-1], pnc_map(post.pair_bit))
         np.testing.assert_array_equal(out.theta_history[-1], est)
+
+    def test_frame_that_does_not_fill_the_code_is_rejected(self, cfg):
+        """M is read from the frame: 4 demodulated symbols given to a decoder
+        built for a 10-symbol code fail the decoder's evidence-shape check."""
+        _, _, (freq, chan, tm, con, _, rx_cfg) = self._simulate(cfg, em_iters=1)
+        long_code = RaCode.build(default_config(QPSK, 10, 0).k_info, 3)
+        with pytest.raises(ValueError, match="evidence must cover all 480 data symbols"):
+            em_bp_receive(freq, chan, tm, JointPairDecoder(long_code, con), rx_cfg)
 
     def test_history_shapes_and_wrap(self, cfg):
         out, _, _ = self._simulate(cfg, em_iters=3, sigma_n2=0.2, cfo=(0.04, 0.01), seed=5)
