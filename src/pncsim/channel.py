@@ -44,10 +44,10 @@ class ChannelRealization:
         ramp = np.exp(-2j * np.pi * np.arange(n_fft) * self.relative_delay / n_fft)
         self.h_freq_b = np.fft.fft(self.taps_b, n=n_fft) * ramp
 
-    def delay_spread_ok(self, n_cp: int) -> bool:
+    def delay_spread_ok(self) -> bool:
         """Whether the delays stay within the cyclic prefix."""
         la, lb = len(self.taps_a), len(self.taps_b)
-        return max(la - 1, self.relative_delay + lb - 1) <= n_cp
+        return max(la - 1, self.relative_delay + lb - 1) <= FrameConfig.n_cp
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def simulate_uplink(
     n_total = config.m_symbols * config.n_s
     if len(frame_a) != n_total or len(frame_b) != n_total:
         raise ValueError("frames must be m_symbols * n_s samples long")
-    if not chan.delay_spread_ok(config.n_cp):
+    if not chan.delay_spread_ok():
         raise ValueError("delay spread exceeds the cyclic prefix")
     n = np.arange(n_total)
     sig_a = np.convolve(frame_a, chan.taps_a)[:n_total]

@@ -121,14 +121,27 @@ class TestRunExperiment:
 
         assert strip_seconds(p1) == strip_seconds(p2)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = _tiny_config(trials_per_snr=6)
-        serial = run_experiment(cfg)
-        parallel = run_experiment(with_overrides(cfg, jobs=2))
-        for r1, r2 in zip(serial.rows, parallel.rows):
-            assert (r1.receiver, r1.em_iters, r1.ber, r1.mse_a, r1.mse_b) == (
-                r2.receiver, r2.em_iters, r2.ber, r2.mse_a, r2.mse_b,
-            )
+    def test_parallel_matches_serial(self):
+        """Every row field but the wall time agrees for jobs = 1 and 2, and
+        the rule stops a point only at a multiple of the batch size."""
+        cases = [
+            dict(trials_per_snr=6),
+            # min_errors unreachable: the first submission spans 3 batches
+            dict(trials_per_snr=20),
+            # one 16-trial submission, then 8-trial batches until min_errors
+            dict(trials_per_snr=64, min_frames=16, min_errors=450),
+        ]
+        untimed = lambda rows: [dataclasses.replace(r, seconds=0.0) for r in rows]
+        for kw in cases:
+            cfg = _tiny_config(**kw)
+            serial = run_experiment(cfg)
+            assert untimed(serial.rows) == untimed(run_experiment(with_overrides(cfg, jobs=2)).rows)
+            frames = serial.rows[0].frames
+            if cfg.min_errors < 10**9:
+                assert cfg.min_frames < frames < cfg.trials_per_snr
+                assert frames % harness._BATCH == 0
+            else:
+                assert frames == cfg.trials_per_snr
 
     def test_error_count_policy_stops_early(self):
         cfg = _tiny_config(snr_db_list=(0.0,), trials_per_snr=200, min_errors=10)
