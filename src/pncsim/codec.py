@@ -88,8 +88,9 @@ class PairPosterior:
     pair_bit: np.ndarray  # (k_info, 4)
 
 
-def _clip(llr: np.ndarray) -> np.ndarray:
-    return np.clip(llr, -_LLR_MAX, _LLR_MAX)
+def _clip(llr: np.ndarray, out=None) -> np.ndarray:
+    # the two ufuncs are what np.clip computes, without its dispatch layers
+    return np.minimum(np.maximum(llr, -_LLR_MAX, out=out), _LLR_MAX, out=out)
 
 
 class JointPairDecoder:
@@ -146,21 +147,26 @@ class JointPairDecoder:
         """
         b = self.constellation.bits_per_symbol
         x = _clip(v2e).reshape(2, self.n_symbols, b).transpose(0, 2, 1).reshape(2 * b, -1)
-        full = log_tables + self.zero_bit @ x
-        return np.exp(full - full.max(axis=0)), x
+        full = self.zero_bit @ x
+        full += log_tables
+        full -= full.max(axis=0)
+        return np.exp(full, out=full), x
 
     def _evidence_llrs(self, beliefs, x):
         """Messages from the joint evidence factors to every coded bit, (2, n).
 
         Within the set of entries sharing bit value v at position p, that
         bit's own factor is the constant p(bit = v), so the extrinsic message
-        is the masked belief sums minus the incoming LLR.
+        is the masked belief sums minus the incoming LLR.  A sum can be 0
+        (log -inf), so the caller ignores divide-by-zero.
         """
         b = self.constellation.bits_per_symbol
-        with np.errstate(divide="ignore"):
-            sums = np.log(self.masks @ beliefs)
-        llrs = sums[: 2 * b] - sums[2 * b :] - x
-        return _clip(llrs.reshape(2, b, -1).transpose(0, 2, 1).reshape(2, -1))
+        sums = self.masks @ beliefs
+        np.log(sums, out=sums)
+        llrs = sums[: 2 * b] - sums[2 * b :]
+        llrs -= x
+        llrs = llrs.reshape(2, b, -1).transpose(0, 2, 1).reshape(2, -1)
+        return _clip(llrs, out=llrs)
 
     def decode(self, evidence: PairEvidence, inner_iters: int) -> PairPosterior:
         if inner_iters < 1:
@@ -178,40 +184,45 @@ class JointPairDecoder:
             raise ValueError(
                 f"evidence table all-zero at symbol index {int(np.flatnonzero(dead)[0])}"
             )
-        with np.errstate(divide="ignore"):
-            # symbol-minor: per-symbol max and sums reduce over axis 0, vectorised across symbols
-            log_tables = np.log(np.ascontiguousarray(tables.T))
-
         k = self.ra.k_info
         n = self.ra.n_coded
         bins = self.info_of_check.reshape(-1)
-        # check-to-variable messages of both chains
-        to_prev = np.zeros((2, n))  # check t -> coded bit t-1 (column 0 unused)
-        to_cur = np.zeros((2, n))  # check t -> coded bit t
-        to_info = np.zeros((2, n))  # check t -> info bit feeding check t
+        # variable-to-check inputs (in_prev, in_cur, in_info) and check-to-
+        # variable outputs (to_prev, to_cur, to_info) of both chains, each
+        # stacked into one (3, 2, n) buffer so the boxplus runs as one
+        # tanh, three products and one arctanh over all three
+        ins = np.empty((3, 2, n))
+        in_prev, in_cur, in_info = ins  # check t's inputs from c_{t-1}, c_t, its info bit
+        outs = np.zeros((3, 2, n))
+        to_prev, to_cur, to_info = outs  # to_prev[:, 0] is unused
+        tanhs = np.empty((3, 2, n))
+        t_prev, t_cur, t_info = tanhs
         v2e = np.zeros((2, n))  # code-side extrinsic LLR of each coded bit
-        in_prev = np.empty((2, n))
-        in_prev[:, 0] = _LLR_PIN  # c_{-1} is the constant 0
-        for _ in range(inner_iters):
-            msg_ev = self._evidence_llrs(*self._beliefs(log_tables, v2e))
-            # variable-to-check messages
-            totals = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
-            in_info = _clip(totals[self.info_of_check] - to_info)
-            in_cur = msg_ev.copy()
-            in_cur[:, :-1] += to_prev[:, 1:]
-            in_cur = _clip(in_cur)
-            in_prev[:, 1:] = _clip(msg_ev[:, :-1] + to_cur[:, :-1])
-            # check-node boxplus, each input's tanh taken once
-            t_prev = np.tanh(0.5 * in_prev)
-            t_cur = np.tanh(0.5 * in_cur)
-            t_info = np.tanh(0.5 * in_info)
-            to_prev = 2.0 * np.arctanh(t_cur * t_info)
-            to_cur = 2.0 * np.arctanh(t_prev * t_info)
-            to_info = 2.0 * np.arctanh(t_prev * t_cur)
-            v2e = to_cur.copy()
-            v2e[:, :-1] += to_prev[:, 1:]
+        with np.errstate(divide="ignore"):
+            # symbol-minor: per-symbol max and sums reduce over axis 0, vectorised across symbols
+            log_tables = np.log(np.ascontiguousarray(tables.T))
+            for _ in range(inner_iters):
+                msg_ev = self._evidence_llrs(*self._beliefs(log_tables, v2e))
+                totals = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
+                np.subtract(totals[self.info_of_check], to_info, out=in_info)
+                np.add(msg_ev[:, :-1], to_prev[:, 1:], out=in_cur[:, :-1])
+                in_cur[:, -1] = msg_ev[:, -1]
+                np.add(msg_ev[:, :-1], to_cur[:, :-1], out=in_prev[:, 1:])
+                _clip(ins, out=ins)
+                in_prev[:, 0] = _LLR_PIN  # c_{-1} is the constant 0
+                # check-node boxplus, each input's tanh taken once
+                np.multiply(ins, 0.5, out=tanhs)
+                np.tanh(tanhs, out=tanhs)
+                np.multiply(t_cur, t_info, out=to_prev)
+                np.multiply(t_prev, t_info, out=to_cur)
+                np.multiply(t_prev, t_cur, out=to_info)
+                np.arctanh(outs, out=outs)
+                outs *= 2.0
+                np.add(to_cur[:, :-1], to_prev[:, 1:], out=v2e[:, :-1])
+                v2e[:, -1] = to_cur[:, -1]
+            # beliefs with the final messages
+            beliefs, _ = self._beliefs(log_tables, v2e)
 
-        # beliefs with the final messages
         info_llr = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
         # P(bit = 0); info_llr sums three clipped-scale messages, so exp stays finite
         p0 = 1.0 / (1.0 + np.exp(-info_llr))
@@ -221,6 +232,5 @@ class JointPairDecoder:
         )
         pair_bit /= pair_bit.sum(axis=1, keepdims=True)
 
-        beliefs, _ = self._beliefs(log_tables, v2e)
         pair_symbol = np.ascontiguousarray((beliefs / beliefs.sum(axis=0)).T)
         return PairPosterior(pair_symbol=pair_symbol, pair_bit=pair_bit)

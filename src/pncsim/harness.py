@@ -271,14 +271,9 @@ def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_d
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the sweep: per SNR, run trials until the error-count policy
-    (>= min_errors XOR-bit errors for every reported receiver, after
-    min_frames frames) or the trial cap is met, whichever comes first.  The
-    policy is checked only at the multiples of _BATCH frames where it can hold."""
+    (>= min_errors XOR-bit errors for every reported receiver) or the trial
+    cap is met, whichever comes first."""
     ctx = _make_context(cfg)
-    # The policy cannot hold before min_frames, nor while frames * k_info <
-    # min_errors (a frame adds at most k_info errors per receiver): the trials
-    # before the first batch end where it can go out as one map of 1-trial chunks.
-    sure = -(-max(cfg.min_frames, 1, -(-cfg.min_errors // ctx.frame_cfg.k_info)) // _BATCH) * _BATCH
     reported = cfg.reported()
     n_rep = len(reported)
     result = ExperimentResult(config=cfg)
@@ -298,10 +293,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 or frames == 0
                 or int(errors.min()) < cfg.min_errors
             ):
-                batch = range(frames, min(max(frames + _BATCH, sure), cfg.trials_per_snr))
+                batch = range(frames, min(frames + _BATCH, cfg.trials_per_snr))
                 tasks = [(snr_idx, t, sigma_n2) for t in batch]
                 if pool is not None:
-                    metrics = pool.map(_worker_trial, tasks, chunksize=1)
+                    metrics = pool.map(_worker_trial, tasks)
                 else:
                     metrics = [run_single_trial(ctx, *t) for t in tasks]
                 for m in metrics:

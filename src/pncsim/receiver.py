@@ -8,8 +8,6 @@ phase pair by maximizing the posterior-weighted fit of the received tones
 with a shrinking particle grid, and finally decodes once more with the
 converged phases before taking the per-bit XOR decision.  Each M-step is
 one objective build and one particle search batched over all M symbols.
-Once an M-step leaves every phase bit for bit unchanged, the remaining
-rounds would repeat it exactly, so the loop stops and copies that round.
 The grid's full-plane lattice is anchored at each symbol's running phase
 estimate, not at absolute phase 0, so the search treats every true drift
 alike.
@@ -346,10 +344,7 @@ def em_bp_receive(
     the constellation from ``decoder``, which rejects a frame that does not
     fill its code.  The final phases and XOR decisions are the last entries
     of the histories.  With ``em_iters == 0`` this is the pilot-only
-    baseline: LS phases followed by a single BP decode.  An M-step that
-    returns its input phases bit for bit is an exact fixed point: the loop
-    stops there and fills the remaining history rows with that round's
-    phases and decisions, which every later round would reproduce.
+    baseline: LS phases followed by a single BP decode.
     """
     constellation = decoder.constellation
     m_symbols = r.shape[0]
@@ -368,13 +363,7 @@ def em_bp_receive(
             break
         tables = posterior.pair_symbol.reshape(m_symbols, -1, constellation.size**2)
         obj = build_phase_objective(r, chan, tone_map, constellation, tables)
-        prev, theta = theta, m_step(obj, theta, rx_cfg)
-        if theta.tobytes() == prev.tobytes():
-            # evidence, decode and M-step are pure functions of theta, so every
-            # later round would repeat this one bit for bit
-            theta_history[k + 1 :] = theta
-            xor_history[k + 1 :] = xor_history[k]
-            break
+        theta = m_step(obj, theta, rx_cfg)
         theta_history[k + 1] = theta
 
     return EmBpResult(theta_history=theta_history, xor_history=xor_history)

@@ -126,9 +126,9 @@ class TestRunExperiment:
         the rule stops a point only at a multiple of the batch size."""
         cases = [
             dict(trials_per_snr=6),
-            # min_errors unreachable: the first submission spans 3 batches
+            # min_errors unreachable: 3 batches, the last one short
             dict(trials_per_snr=20),
-            # one 16-trial submission, then 8-trial batches until min_errors
+            # stopped by min_errors after min_frames, before the cap
             dict(trials_per_snr=64, min_frames=16, min_errors=450),
         ]
         untimed = lambda rows: [dataclasses.replace(r, seconds=0.0) for r in rows]

@@ -704,23 +704,6 @@ class TestPncMap:
             assert got[j] == expect
 
 
-def _em_bp_without_exit(r, chan, tone_map, decoder, rx_cfg):
-    """Reference EM-BP loop with no fixed-point exit: all em_iters rounds run."""
-    con = decoder.constellation
-    theta = ls_pilot_phase(r, tone_map, chan.h_freq_a, chan.h_freq_b)
-    thetas, xors = [theta], []
-    for k in range(rx_cfg.em_iters + 1):
-        evidence = pair_evidence(r, chan, tone_map, con, theta, rx_cfg.sigma_w2)
-        posterior = decoder.decode(evidence, rx_cfg.bp_iters)
-        xors.append(pnc_map(posterior.pair_bit))
-        if k == rx_cfg.em_iters:
-            break
-        tables = posterior.pair_symbol.reshape(r.shape[0], -1, con.size**2)
-        theta = m_step(build_phase_objective(r, chan, tone_map, con, tables), theta, rx_cfg)
-        thetas.append(theta)
-    return np.array(thetas), np.array(xors)
-
-
 class TestEmBpReceive:
     def _simulate(self, cfg, em_iters, seed=0, sigma_n2=0.0, cfo=(0.0, 0.0), tau=0, **rx_kw):
         rng = np.random.default_rng(seed)
@@ -789,36 +772,6 @@ class TestEmBpReceive:
                 obj = build_phase_objective(freq, chan, tm, con, tables)
                 value = lambda t: obj.value(t[..., 0], t[..., 1])
                 assert np.all(value(hist[k + 1]) >= value(hist[k])), (refine, k)
-
-    @pytest.mark.parametrize(
-        "seed, sigma_n2, cfo, fixed_point",
-        [(2, 0.1, (0.02, -0.03), True), (0, 0.25, (0.045, -0.04), False)],
-        ids=["fixed-point", "no-fixed-point"],
-    )
-    def test_fixed_point_exit_matches_full_loop(self, cfg, monkeypatch, seed, sigma_n2, cfo, fixed_point):
-        """Stopping at an M-step that returns its input bit for bit gives the
-        histories of the loop that runs every round, with fewer decodes."""
-        out, _, (freq, chan, tm, con, ra, rx_cfg) = self._simulate(
-            cfg, em_iters=6, sigma_n2=sigma_n2, cfo=cfo, seed=seed
-        )
-        decoder = JointPairDecoder(ra, con)
-        ref_theta, ref_xor = _em_bp_without_exit(freq, chan, tm, decoder, rx_cfg)
-        np.testing.assert_array_equal(out.theta_history, ref_theta)
-        np.testing.assert_array_equal(out.xor_history, ref_xor)
-
-        repeats = [k for k in range(rx_cfg.em_iters) if np.array_equal(ref_theta[k + 1], ref_theta[k])]
-        assert bool(repeats) == fixed_point
-        calls = []
-        decode = JointPairDecoder.decode
-
-        def counting_decode(self, *args):
-            calls.append(args)
-            return decode(self, *args)
-
-        monkeypatch.setattr(JointPairDecoder, "decode", counting_decode)
-        em_bp_receive(freq, chan, tm, decoder, rx_cfg)
-        # a fixed point after round k leaves only the decodes of rounds 0..k
-        assert len(calls) == (repeats[0] + 1 if fixed_point else rx_cfg.em_iters + 1)
 
     def test_phase_trajectory_tracking_zero_cfo(self, cfg):
         """With zero CFO the per-symbol estimates stay near one constant."""
