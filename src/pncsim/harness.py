@@ -271,15 +271,23 @@ def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_d
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the sweep: per SNR, run trials until the error-count policy
-    (>= min_errors XOR-bit errors for every reported receiver) or the trial
-    cap is met, whichever comes first."""
+    (>= min_errors XOR-bit errors for every reported receiver, after at
+    least min_frames frames) or the trial cap is met, whichever comes first.
+
+    The policy is checked only at multiples of _BATCH frames (and at the
+    cap), so the trials run never depend on jobs.  One frame adds at most
+    k_info errors per receiver, so each check submits every trial up to the
+    first such multiple at which the policy could hold, as one
+    ``pool.map(..., chunksize=1)`` when jobs > 1."""
     ctx = _make_context(cfg)
+    k_info = ctx.frame_cfg.k_info
     reported = cfg.reported()
     n_rep = len(reported)
     result = ExperimentResult(config=cfg)
     pool = None
-    if cfg.jobs > 1:
-        pool = multiprocessing.Pool(cfg.jobs, initializer=_init_worker, initargs=(ctx,))
+    workers = min(cfg.jobs, cfg.trials_per_snr)  # a worker past the cap never gets a task
+    if workers > 1:
+        pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx,))
     try:
         for snr_idx, snr_db in enumerate(cfg.snr_db_list):
             sigma_n2 = _sigma_n2_for(cfg, ctx.frame_cfg, snr_db)
@@ -293,10 +301,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 or frames == 0
                 or int(errors.min()) < cfg.min_errors
             ):
-                batch = range(frames, min(frames + _BATCH, cfg.trials_per_snr))
-                tasks = [(snr_idx, t, sigma_n2) for t in batch]
+                shortfall = -(-(cfg.min_errors - int(errors.min())) // k_info)
+                need = max(cfg.min_frames, frames + 1, frames + shortfall)
+                stop = min(-(-need // _BATCH) * _BATCH, cfg.trials_per_snr)
+                tasks = [(snr_idx, t, sigma_n2) for t in range(frames, stop)]
                 if pool is not None:
-                    metrics = pool.map(_worker_trial, tasks)
+                    metrics = pool.map(_worker_trial, tasks, chunksize=1)
                 else:
                     metrics = [run_single_trial(ctx, *t) for t in tasks]
                 for m in metrics:

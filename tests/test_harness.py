@@ -130,6 +130,11 @@ class TestRunExperiment:
             dict(trials_per_snr=20),
             # stopped by min_errors after min_frames, before the cap
             dict(trials_per_snr=64, min_frames=16, min_errors=450),
+            # the error floor (700 / k_info frames), not min_frames, sets the
+            # first submission; stopped after four more
+            dict(trials_per_snr=64, min_frames=8, min_errors=700),
+            # high SNR: few errors per frame, stopped after six more submissions
+            dict(snr_db_list=(12.0,), trials_per_snr=64, min_errors=200),
         ]
         untimed = lambda rows: [dataclasses.replace(r, seconds=0.0) for r in rows]
         for kw in cases:
@@ -142,6 +147,68 @@ class TestRunExperiment:
                 assert frames % harness._BATCH == 0
             else:
                 assert frames == cfg.trials_per_snr
+
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """Replace the process pool by an in-process one that records the
+        worker count and every map call's trial ids and chunk size."""
+        log = {"workers": [], "maps": []}
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                log["workers"].append(processes)
+                initializer(*initargs)
+
+            def map(self, fn, tasks, chunksize=None):
+                log["maps"].append(([t[1] for t in tasks], chunksize))
+                return [fn(t) for t in tasks]
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+        return log
+
+    def test_dispatch_submits_until_rule_can_hold(self, fake_pool):
+        """Each check submits, as one chunksize-1 map, every trial up to the
+        first multiple of _BATCH at which the stopping rule could hold, and
+        no trial past the stop point runs."""
+        batch = harness._BATCH
+        cfg = _tiny_config(snr_db_list=(6.0, 10.0), trials_per_snr=20, jobs=2)
+        result = run_experiment(cfg)
+        assert fake_pool["maps"] == [(list(range(20)), 1)] * 2
+        assert [r.frames for r in result.rows] == [20] * len(result.rows)
+
+        k_info = harness._make_context(cfg).frame_cfg.k_info
+        for kw in (
+            dict(min_frames=8, min_errors=700),  # error floor sets the first block
+            dict(min_frames=24, min_errors=700),  # min_frames sets it
+            dict(snr_db_list=(12.0,), min_errors=200),
+        ):
+            fake_pool["maps"].clear()
+            cfg = _tiny_config(trials_per_snr=64, jobs=2, **kw)
+            frames = run_experiment(cfg).rows[0].frames
+            maps = fake_pool["maps"]
+            assert len(maps) > 1 and all(chunk == 1 for _, chunk in maps)
+            first = max(cfg.min_frames, 1, -(-cfg.min_errors // k_info))
+            assert len(maps[0][0]) == min(-(-first // batch) * batch, cfg.trials_per_snr)
+            run = [t for ids, _ in maps for t in ids]
+            assert run == list(range(frames)) and frames < cfg.trials_per_snr
+            for ids, _ in maps:
+                assert ids[-1] + 1 == cfg.trials_per_snr or (ids[-1] + 1) % batch == 0
+
+    def test_workers_capped_by_trials(self, fake_pool):
+        """A worker past a point's trial cap never gets a task, so none is
+        started; one trial per point runs without a pool."""
+        run_experiment(_tiny_config(trials_per_snr=4, jobs=16))
+        assert fake_pool["workers"] == [4]
+        run_experiment(_tiny_config(trials_per_snr=1, jobs=2))
+        assert fake_pool["workers"] == [4]
+        assert len(fake_pool["maps"]) == 1
 
     def test_error_count_policy_stops_early(self):
         cfg = _tiny_config(snr_db_list=(0.0,), trials_per_snr=200, min_errors=10)
