@@ -16,7 +16,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="master seed, overrides the file")
     sub.add_argument("--out", help="output CSV path (prefix for sweep-c)")
     sub.add_argument("--trials", type=int, help="trial cap per SNR point")
-    sub.add_argument("--jobs", type=int, help="parallel worker processes")
+    sub.add_argument("--jobs", type=int, help="processes running trials, the calling one included")
 
 
 def _parse_snr(raw: str | None):

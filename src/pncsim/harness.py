@@ -249,16 +249,37 @@ def run_single_trial(
 
 
 _WORKER_CTX: _TrialContext | None = None
+_WORKER_NEXT = None  # the shared trial counter, in a pool worker
 
 
-def _init_worker(ctx: _TrialContext):
-    global _WORKER_CTX
+def _init_worker(ctx: _TrialContext, next_trial=None):
+    global _WORKER_CTX, _WORKER_NEXT
     _WORKER_CTX = ctx
+    _WORKER_NEXT = next_trial
 
 
-def _worker_trial(args) -> TrialMetrics:
-    snr_idx, trial_idx, sigma_n2 = args
-    return run_single_trial(_WORKER_CTX, snr_idx, trial_idx, sigma_n2)
+def _take_trials(ctx, next_trial, snr_idx, stop, sigma_n2) -> list[tuple[int, TrialMetrics]]:
+    """Run the trials whose index this process takes from next_trial until
+    it reaches stop.  A trial that raises sets the counter to stop, so no
+    process starts another one."""
+    done = []
+    while True:
+        with next_trial.get_lock():
+            trial_idx = next_trial.value
+            if trial_idx >= stop:
+                return done
+            next_trial.value = trial_idx + 1
+        try:
+            done.append((trial_idx, run_single_trial(ctx, snr_idx, trial_idx, sigma_n2)))
+        except BaseException:
+            with next_trial.get_lock():
+                next_trial.value = stop
+            raise
+
+
+def _worker_trials(args) -> list[tuple[int, TrialMetrics]]:
+    snr_idx, stop, sigma_n2 = args
+    return _take_trials(_WORKER_CTX, _WORKER_NEXT, snr_idx, stop, sigma_n2)
 
 
 def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_db: float) -> float:
@@ -276,18 +297,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     The policy is checked only at multiples of _BATCH frames (and at the
     cap), so the trials run never depend on jobs.  One frame adds at most
-    k_info errors per receiver, so each check submits every trial up to the
-    first such multiple at which the policy could hold, as one
-    ``pool.map(..., chunksize=1)`` when jobs > 1."""
+    k_info errors per receiver, so each check runs every trial up to the
+    first such multiple at which the policy could hold.  The calling process
+    and jobs - 1 pool workers (one task each per check) take those trial
+    indices from one shared counter; the results are summed in trial order,
+    so every row is the same for any jobs."""
     ctx = _make_context(cfg)
     k_info = ctx.frame_cfg.k_info
     reported = cfg.reported()
     n_rep = len(reported)
     result = ExperimentResult(config=cfg)
+    next_trial = multiprocessing.Value("q", 0)
     pool = None
-    workers = min(cfg.jobs, cfg.trials_per_snr)  # a worker past the cap never gets a task
-    if workers > 1:
-        pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx,))
+    workers = min(cfg.jobs, cfg.trials_per_snr) - 1  # past the cap a worker would get no trial
+    if workers > 0:
+        pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx, next_trial))
     try:
         for snr_idx, snr_db in enumerate(cfg.snr_db_list):
             sigma_n2 = _sigma_n2_for(cfg, ctx.frame_cfg, snr_db)
@@ -304,12 +328,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 shortfall = -(-(cfg.min_errors - int(errors.min())) // k_info)
                 need = max(cfg.min_frames, frames + 1, frames + shortfall)
                 stop = min(-(-need // _BATCH) * _BATCH, cfg.trials_per_snr)
-                tasks = [(snr_idx, t, sigma_n2) for t in range(frames, stop)]
+                next_trial.value = frames
                 if pool is not None:
-                    metrics = pool.map(_worker_trial, tasks, chunksize=1)
-                else:
-                    metrics = [run_single_trial(ctx, *t) for t in tasks]
-                for m in metrics:
+                    pending = pool.map_async(_worker_trials, [(snr_idx, stop, sigma_n2)] * workers)
+                done = _take_trials(ctx, next_trial, snr_idx, stop, sigma_n2)
+                if pool is not None:
+                    done += [d for part in pending.get() for d in part]
+                done.sort(key=lambda d: d[0])
+                for _, m in done:
                     errors += m.xor_errors
                     mse_sum += m.mse
                     bits += m.bits

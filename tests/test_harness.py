@@ -1,6 +1,12 @@
 """Tests for the experiment driver, metrics, CSV output, and CLI."""
 
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from multiprocessing.pool import ThreadPool
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +128,10 @@ class TestRunExperiment:
         assert strip_seconds(p1) == strip_seconds(p2)
 
     def test_parallel_matches_serial(self):
-        """Every row field but the wall time agrees for jobs = 1 and 2, and
-        the rule stops a point only at a multiple of the batch size."""
+        """Every row field but the wall time agrees for jobs = 1, 2 and 3
+        (the calling process and up to two workers sharing the trial
+        counter), and the rule stops a point only at a multiple of the
+        batch size."""
         cases = [
             dict(trials_per_snr=6),
             # min_errors unreachable: 3 batches, the last one short
@@ -140,7 +148,9 @@ class TestRunExperiment:
         for kw in cases:
             cfg = _tiny_config(**kw)
             serial = run_experiment(cfg)
-            assert untimed(serial.rows) == untimed(run_experiment(with_overrides(cfg, jobs=2)).rows)
+            for jobs in (2, 3):
+                parallel = run_experiment(with_overrides(cfg, jobs=jobs))
+                assert untimed(serial.rows) == untimed(parallel.rows)
             frames = serial.rows[0].frames
             if cfg.min_errors < 10**9:
                 assert cfg.min_frames < frames < cfg.trials_per_snr
@@ -149,66 +159,148 @@ class TestRunExperiment:
                 assert frames == cfg.trials_per_snr
 
     @pytest.fixture
-    def fake_pool(self, monkeypatch):
-        """Replace the process pool by an in-process one that records the
-        worker count and every map call's trial ids and chunk size."""
-        log = {"workers": [], "maps": []}
+    def thread_pool(self, monkeypatch):
+        """Replace the process pool by a thread pool that logs the worker
+        count, every check's tasks, and every trial the calling process or
+        a worker thread runs, in the order they happen."""
+        log = {"workers": [], "events": []}
+        caller = threading.get_ident()
+        trial = harness.run_single_trial
 
-        class FakePool:
+        def logged_trial(ctx, snr_idx, trial_idx, sigma_n2):
+            log["events"].append(("trial", snr_idx, trial_idx, threading.get_ident() == caller))
+            return trial(ctx, snr_idx, trial_idx, sigma_n2)
+
+        class LoggedPool(ThreadPool):
             def __init__(self, processes, initializer, initargs):
                 log["workers"].append(processes)
-                initializer(*initargs)
+                super().__init__(processes, initializer, initargs)
 
-            def map(self, fn, tasks, chunksize=None):
-                log["maps"].append(([t[1] for t in tasks], chunksize))
-                return [fn(t) for t in tasks]
-
-            def close(self):
-                pass
-
-            def join(self):
-                pass
+            def map_async(self, fn, tasks):
+                log["events"].append(("check", list(tasks)))
+                return super().map_async(fn, tasks)
 
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
-        monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(harness, "_WORKER_NEXT", None)
+        monkeypatch.setattr(harness, "run_single_trial", logged_trial)
+        monkeypatch.setattr(harness.multiprocessing, "Pool", LoggedPool)
         return log
 
-    def test_dispatch_submits_until_rule_can_hold(self, fake_pool):
-        """Each check submits, as one chunksize-1 map, every trial up to the
-        first multiple of _BATCH at which the stopping rule could hold, and
-        no trial past the stop point runs."""
+    @staticmethod
+    def _checks(log):
+        """[(tasks, ids of the trials run until the next check)] per check."""
+        checks = []
+        for event in log["events"]:
+            if event[0] == "check":
+                checks.append((event[1], []))
+            else:
+                checks[-1][1].append(event[2])
+        return checks
+
+    def test_dispatch_submits_until_rule_can_hold(self, thread_pool):
+        """Each check sends one task per worker, and the calling process and
+        the workers run every trial up to the first multiple of _BATCH at
+        which the stopping rule could hold, each exactly once; no trial
+        past the stop point runs."""
         batch = harness._BATCH
         cfg = _tiny_config(snr_db_list=(6.0, 10.0), trials_per_snr=20, jobs=2)
         result = run_experiment(cfg)
-        assert fake_pool["maps"] == [(list(range(20)), 1)] * 2
+        checks = self._checks(thread_pool)
+        assert [[(snr, stop) for snr, stop, _ in tasks] for tasks, _ in checks] == [
+            [(0, 20)],
+            [(1, 20)],
+        ]
+        assert [sorted(ids) for _, ids in checks] == [list(range(20))] * 2
         assert [r.frames for r in result.rows] == [20] * len(result.rows)
 
         k_info = harness._make_context(cfg).frame_cfg.k_info
-        for kw in (
-            dict(min_frames=8, min_errors=700),  # error floor sets the first block
-            dict(min_frames=24, min_errors=700),  # min_frames sets it
-            dict(snr_db_list=(12.0,), min_errors=200),
-        ):
-            fake_pool["maps"].clear()
-            cfg = _tiny_config(trials_per_snr=64, jobs=2, **kw)
-            frames = run_experiment(cfg).rows[0].frames
-            maps = fake_pool["maps"]
-            assert len(maps) > 1 and all(chunk == 1 for _, chunk in maps)
-            first = max(cfg.min_frames, 1, -(-cfg.min_errors // k_info))
-            assert len(maps[0][0]) == min(-(-first // batch) * batch, cfg.trials_per_snr)
-            run = [t for ids, _ in maps for t in ids]
-            assert run == list(range(frames)) and frames < cfg.trials_per_snr
-            for ids, _ in maps:
-                assert ids[-1] + 1 == cfg.trials_per_snr or (ids[-1] + 1) % batch == 0
+        for jobs in (2, 3):
+            for kw in (
+                dict(min_frames=8, min_errors=700),  # error floor sets the first block
+                dict(min_frames=24, min_errors=700),  # min_frames sets it
+                dict(snr_db_list=(12.0,), min_errors=200),
+            ):
+                thread_pool["events"].clear()
+                cfg = _tiny_config(trials_per_snr=64, jobs=jobs, **kw)
+                frames = run_experiment(cfg).rows[0].frames
+                checks = self._checks(thread_pool)
+                assert len(checks) > 1 and frames < cfg.trials_per_snr
+                first = max(cfg.min_frames, 1, -(-cfg.min_errors // k_info))
+                start = 0
+                for i, (tasks, ids) in enumerate(checks):
+                    assert len(tasks) == jobs - 1 and len(set(tasks)) == 1
+                    stop = tasks[0][1]
+                    if i == 0:
+                        assert stop == min(-(-first // batch) * batch, cfg.trials_per_snr)
+                    assert stop == cfg.trials_per_snr or stop % batch == 0
+                    assert sorted(ids) == list(range(start, stop))
+                    start = stop
+                assert start == frames
+        trials = [e for e in thread_pool["events"] if e[0] == "trial"]
+        assert {in_caller for *_, in_caller in trials} == {True, False}
 
-    def test_workers_capped_by_trials(self, fake_pool):
-        """A worker past a point's trial cap never gets a task, so none is
-        started; one trial per point runs without a pool."""
+    def test_counter_hands_out_each_trial_once_under_contention(self, monkeypatch):
+        """Seven worker threads and the calling process take 4000 instant
+        trials on a short switch interval: a lost update of the shared
+        counter would run a trial twice."""
+        ran = []
+
+        def instant_trial(ctx, snr_idx, trial_idx, sigma_n2):
+            ran.append(trial_idx)
+            n_rep = len(ctx.report_ks)
+            return harness.TrialMetrics(np.zeros(n_rep, dtype=np.int64), 1, np.zeros((n_rep, 2)))
+
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        monkeypatch.setattr(harness, "_WORKER_NEXT", None)
+        monkeypatch.setattr(harness, "run_single_trial", instant_trial)
+        monkeypatch.setattr(harness.multiprocessing, "Pool", ThreadPool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_experiment(_tiny_config(trials_per_snr=4000, jobs=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(4000))
+        assert result.rows[0].frames == 4000
+
+    def test_workers_capped_by_trials(self, thread_pool):
+        """The calling process is one of the jobs, and a worker past a
+        point's trial cap would never get a trial, so min(jobs, trials) - 1
+        workers start; with none to start, no pool is made."""
         run_experiment(_tiny_config(trials_per_snr=4, jobs=16))
-        assert fake_pool["workers"] == [4]
+        assert thread_pool["workers"] == [3]
+        assert [len(tasks) for tasks, _ in self._checks(thread_pool)] == [3]
+        thread_pool["events"].clear()
         run_experiment(_tiny_config(trials_per_snr=1, jobs=2))
-        assert fake_pool["workers"] == [4]
-        assert len(fake_pool["maps"]) == 1
+        run_experiment(_tiny_config(trials_per_snr=4, jobs=1))
+        assert thread_pool["workers"] == [3]
+        assert not any(e[0] == "check" for e in thread_pool["events"])
+        assert [e[2:] for e in thread_pool["events"]] == [(0, True)] + [(t, True) for t in range(4)]
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_failing_trial_raises_and_ends_the_pool(self, monkeypatch, where):
+        """A trial that raises, in the calling process or in a pool worker,
+        ends run_experiment with its exception, and no process is left
+        running.  The trials on the other side sleep first, so the failing
+        side takes an index, and the failure stops that side from taking
+        most of the rest."""
+        caller = os.getpid()
+        trial = harness.run_single_trial
+        others = multiprocessing.Value("i", 0)
+
+        def failing_trial(ctx, snr_idx, trial_idx, sigma_n2):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise RuntimeError(f"trial {trial_idx} failed in the {where}")
+            with others.get_lock():
+                others.value += 1
+            time.sleep(0.2)
+            return trial(ctx, snr_idx, trial_idx, sigma_n2)
+
+        monkeypatch.setattr(harness, "run_single_trial", failing_trial)
+        with pytest.raises(RuntimeError, match=f"failed in the {where}"):
+            run_experiment(_tiny_config(trials_per_snr=24, jobs=2))
+        assert multiprocessing.active_children() == []
+        assert others.value < 12
 
     def test_error_count_policy_stops_early(self):
         cfg = _tiny_config(snr_db_list=(0.0,), trials_per_snr=200, min_errors=10)
