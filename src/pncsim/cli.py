@@ -19,12 +19,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, help="processes running trials, the calling one included")
 
 
-def _parse_snr(raw: str | None):
-    if raw is None:
-        return None
-    return tuple(float(s) for s in raw.split(",") if s.strip())
-
-
 def _print_summary(result: harness.ExperimentResult) -> None:
     # errors arrive in frame-sized bursts, so a bit-level binomial interval
     # would be far too narrow; print the raw error count instead
@@ -55,9 +49,10 @@ def main(argv=None) -> int:
     # every config is built and checked before the first trial runs
     try:
         cfg = harness.load_config(args.config)
+        _, parse_snr = harness._INI_KEYS["run", "snr_db"]
         cfg = harness.with_overrides(
             cfg,
-            snr_db_list=_parse_snr(args.snr),
+            snr_db_list=None if args.snr is None else parse_snr(args.snr),
             master_seed=args.seed,
             output_path=args.out,
             trials_per_snr=args.trials,

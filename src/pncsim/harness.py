@@ -8,13 +8,13 @@ RNG streams are derived from (master_seed, snr index, trial index), so
 results are bit-identical whether trials run serially or in parallel.
 """
 
-from __future__ import annotations
-
 import configparser
 import csv
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,37 +26,46 @@ from .codec import JointPairDecoder, RaCode, ra_encode
 _BATCH = 8  # stop-condition check granularity; fixed so results never depend on jobs
 
 
+def _ini(section: str, default, *, key: str = "", none: str = "", lowercase: bool = False):
+    """A config field read from ``key`` (by default the field's own name) in
+    ``[section]`` of the experiment file.  Its parser follows its annotation;
+    the word ``none`` reads as None, and ``lowercase`` folds the value's case."""
+    meta = {"section": section, "key": key, "none": none, "lowercase": lowercase}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo sweep."""
 
-    snr_db_list: tuple = (4.0, 6.0, 8.0, 10.0, 12.0)
-    trials_per_snr: int = 1000
-    min_errors: int = 100
+    snr_db_list: tuple[float, ...] = _ini("run", (4.0, 6.0, 8.0, 10.0, 12.0), key="snr_db")
+    trials_per_snr: int = _ini("run", 1000)
+    min_errors: int = _ini("run", 100)
     # one lost frame contributes ~k_info/2 XOR errors, so burst-dominated
     # points can hit min_errors after a handful of frames; a frame floor
     # keeps such points statistically meaningful
-    min_frames: int = 1
-    modulation: str = frame_mod.QPSK
-    m_symbols: int = 10
-    interleaver_seed: int = 2024
-    channel_kind: str = "flat"  # "flat" or "selective"
-    n_taps: int = 4
-    decay: float = 1.0
-    delta: float = 0.1
-    tau: int | None = None  # None draws uniformly from the CP-safe range
-    receivers: tuple = ("baseline", "em_bp")
-    em_bp_k: tuple = (7,)
-    bp_iters: int = 20
-    particle_rounds: int = 4
-    particle_l: int = 10
-    particle_shrink: float = 0.1
-    em_refine_passes: int = 0
-    sigma_w2_override: float | None = None
-    noiseless: bool = False
-    master_seed: int = 1
-    output_path: str = "result.csv"
-    jobs: int = 1
+    min_frames: int = _ini("run", 1)
+    modulation: str = _ini("frame", frame_mod.QPSK, lowercase=True)
+    m_symbols: int = _ini("frame", 10)
+    interleaver_seed: int = _ini("code", 2024)
+    channel_kind: str = _ini("channel", "flat", key="kind", lowercase=True)  # "flat" or "selective"
+    n_taps: int = _ini("channel", 4, key="taps")
+    decay: float = _ini("channel", 1.0)
+    delta: float = _ini("channel", 0.1)
+    # None draws uniformly from the CP-safe range
+    tau: int | None = _ini("channel", None, none="random")
+    receivers: tuple[str, ...] = _ini("receiver", ("baseline", "em_bp"))
+    em_bp_k: tuple[int, ...] = _ini("receiver", (7,))
+    bp_iters: int = _ini("receiver", rx_mod.ReceiverConfig.bp_iters)
+    particle_rounds: int = _ini("receiver", rx_mod.ReceiverConfig.particle_rounds)
+    particle_l: int = _ini("receiver", rx_mod.ReceiverConfig.particle_l)
+    particle_shrink: float = _ini("receiver", rx_mod.ReceiverConfig.particle_shrink)
+    em_refine_passes: int = _ini("receiver", rx_mod.ReceiverConfig.em_refine_passes)
+    sigma_w2_override: float | None = _ini("receiver", None, key="sigma_w2", none="auto")
+    noiseless: bool = _ini("run", False)
+    master_seed: int = _ini("run", 1)
+    output_path: str = _ini("run", "result.csv", key="out")
+    jobs: int = _ini("run", 1)
 
     def __post_init__(self):
         """Reject every invalid setting here, before the first trial runs."""
@@ -93,6 +102,14 @@ class ExperimentConfig:
             raise ValueError("em_bp requested but no iteration counts given")
         if any(k < 1 for k in self.em_bp_k):
             raise ValueError("em_bp iteration counts must be >= 1")
+        for snr_db in snrs:  # the noise+ICI variance each trial's receiver assumes
+            try:
+                sigma_n2 = _sigma_n2_for(self, frame_cfg, snr_db)
+                noise_var = rx_mod.effective_noise_var(sigma_n2, self.delta)
+            except ArithmeticError:  # Eb/N0 or the ICI term overflows, or Eb/N0 underflows to 0
+                noise_var = np.inf
+            if not noise_var < np.inf:
+                raise ValueError(f"snr_db = {snr_db}, delta = {self.delta}: noise out of range")
         self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
 
     def reported(self) -> list[tuple[str, int]]:
@@ -112,12 +129,14 @@ class ExperimentConfig:
         return rx_mod.ReceiverConfig(
             sigma_w2=sigma_w2,
             em_iters=max(k for _, k in self.reported()),
-            bp_iters=self.bp_iters,
-            particle_rounds=self.particle_rounds,
-            particle_l=self.particle_l,
-            particle_shrink=self.particle_shrink,
-            em_refine_passes=self.em_refine_passes,
+            **{name: getattr(self, name) for name in _RX_TUNABLES},
         )
+
+
+# the ReceiverConfig fields an ExperimentConfig sets under the same name
+_RX_TUNABLES = tuple(
+    f.name for f in fields(rx_mod.ReceiverConfig) if f.name in ExperimentConfig.__dataclass_fields__
+)
 
 
 @dataclass
@@ -366,7 +385,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-CSV_COLUMNS = ("receiver", "em_iters", "snr_db", "ber", "mse_a", "mse_b", "bits", "frames", "seconds")
+# every ResultRow field but errors is a CSV column, read back by its annotation
+_CSV_TYPES = {f.name: f.type for f in fields(ResultRow) if f.name != "errors"}
+CSV_COLUMNS = tuple(_CSV_TYPES)
 
 
 def emit_csv(result: ExperimentResult, path: str) -> None:
@@ -377,85 +398,52 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
         writer.writerow(CSV_COLUMNS)
         for r in result.rows:
             writer.writerow(
-                [
-                    r.receiver,
-                    r.em_iters,
-                    repr(float(r.snr_db)),
-                    repr(float(r.ber)),
-                    repr(float(r.mse_a)),
-                    repr(float(r.mse_b)),
-                    r.bits,
-                    r.frames,
-                    repr(float(r.seconds)),
-                ]
+                repr(float(getattr(r, name))) if cast is float else getattr(r, name)
+                for name, cast in _CSV_TYPES.items()
             )
 
 
 def parse_csv(path: str) -> list[ResultRow]:
     """Inverse of emit_csv (errors are not serialized and read back as 0)."""
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    receiver=rec["receiver"],
-                    em_iters=int(rec["em_iters"]),
-                    snr_db=float(rec["snr_db"]),
-                    ber=float(rec["ber"]),
-                    mse_a=float(rec["mse_a"]),
-                    mse_b=float(rec["mse_b"]),
-                    bits=int(rec["bits"]),
-                    frames=int(rec["frames"]),
-                    seconds=float(rec["seconds"]),
-                )
-            )
-    return rows
+        return [
+            ResultRow(**{name: cast(rec[name]) for name, cast in _CSV_TYPES.items()})
+            for rec in reader
+        ]
 
 
-def _csv(cast):
-    return lambda raw: tuple(cast(s.strip()) for s in raw.split(",") if s.strip())
+def _ini_parser(hint, none: str = "", lowercase: bool = False):
+    """Parser of one stripped INI value into a field annotated ``hint``."""
+    if typing.get_origin(hint) is types.UnionType:  # T | None
+        (inner,) = (t for t in typing.get_args(hint) if t is not type(None))
+        parse = _ini_parser(inner)
+        return lambda raw: None if raw.lower() == none else parse(raw)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...], a comma list
+        parse = _ini_parser(typing.get_args(hint)[0])
+        return lambda raw: tuple(parse(s.strip()) for s in raw.split(",") if s.strip())
+    if hint is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
 
+        def parse_bool(raw: str) -> bool:
+            if raw.lower() not in states:
+                raise ValueError("not a boolean")
+            return states[raw.lower()]
 
-def _none_if(word: str, cast):
-    return lambda raw: None if raw.lower() == word else cast(raw)
-
-
-def _bool(raw: str) -> bool:
-    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError("not a boolean")
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        return parse_bool
+    return str.lower if lowercase else hint
 
 
 # (section, key) of the experiment file -> (ExperimentConfig field, parser);
 # configparser has already stripped the raw values
 _INI_KEYS = {
-    ("frame", "modulation"): ("modulation", str.lower),
-    ("frame", "m_symbols"): ("m_symbols", int),
-    ("code", "interleaver_seed"): ("interleaver_seed", int),
-    ("channel", "kind"): ("channel_kind", str.lower),
-    ("channel", "taps"): ("n_taps", int),
-    ("channel", "decay"): ("decay", float),
-    ("channel", "delta"): ("delta", float),
-    ("channel", "tau"): ("tau", _none_if("random", int)),
-    ("receiver", "receivers"): ("receivers", _csv(str)),
-    ("receiver", "em_bp_k"): ("em_bp_k", _csv(int)),
-    ("receiver", "bp_iters"): ("bp_iters", int),
-    ("receiver", "particle_rounds"): ("particle_rounds", int),
-    ("receiver", "particle_l"): ("particle_l", int),
-    ("receiver", "particle_shrink"): ("particle_shrink", float),
-    ("receiver", "em_refine_passes"): ("em_refine_passes", int),
-    ("receiver", "sigma_w2"): ("sigma_w2_override", _none_if("auto", float)),
-    ("run", "snr_db"): ("snr_db_list", _csv(float)),
-    ("run", "trials_per_snr"): ("trials_per_snr", int),
-    ("run", "min_errors"): ("min_errors", int),
-    ("run", "min_frames"): ("min_frames", int),
-    ("run", "noiseless"): ("noiseless", _bool),
-    ("run", "master_seed"): ("master_seed", int),
-    ("run", "out"): ("output_path", str),
-    ("run", "jobs"): ("jobs", int),
+    (f.metadata["section"], f.metadata["key"] or f.name): (
+        f.name,
+        _ini_parser(f.type, f.metadata["none"], f.metadata["lowercase"]),
+    )
+    for f in fields(ExperimentConfig)
 }
 
 

@@ -24,8 +24,9 @@ from .channel import ChannelRealization
 from .codec import JointPairDecoder, PairEvidence
 from .frame import Constellation, FrameConfig, ToneMap
 
-# Floor for the effective noise variance so that noiseless ablations yield
-# delta-shaped evidence instead of dividing by zero.
+# Floor for the effective noise variance, and the least sigma_w2 a receiver
+# accepts, so that noiseless ablations yield delta-shaped evidence instead of
+# dividing by zero, and no table of evidence underflows to all zeros.
 _SIGMA_W2_FLOOR = 1e-12
 
 
@@ -50,8 +51,8 @@ class ReceiverConfig:
     em_refine_passes: int = 0
 
     def __post_init__(self):
-        if not 0 < self.sigma_w2 < np.inf:
-            raise ValueError("sigma_w2 must be positive and finite")
+        if not _SIGMA_W2_FLOOR <= self.sigma_w2 < np.inf:
+            raise ValueError(f"sigma_w2 must be finite and >= {_SIGMA_W2_FLOOR:g}")
         if self.em_iters < 0:
             raise ValueError("em_iters must be >= 0")
         if self.bp_iters < 1:

@@ -1,5 +1,6 @@
 """Tests for the experiment driver, metrics, CSV output, and CLI."""
 
+import configparser
 import dataclasses
 import multiprocessing
 import os
@@ -388,11 +389,27 @@ class TestCsv:
         assert [r[0] for r in recs] == ["baseline", "baseline", "em_bp", "em_bp"]
         assert [float(r[2]) for r in recs] == [4.0, 8.0, 4.0, 8.0]
 
+    def test_float_columns_print_as_floats(self, tmp_path):
+        """Columns annotated float print in float form even from an int,
+        such as the SNR of a config built in code."""
+        row = harness.ResultRow("baseline", 0, 8, 0, 0.5, 0.25, 10, 1, 2)
+        path = tmp_path / "out.csv"
+        emit_csv(harness.ExperimentResult(ExperimentConfig(), [row]), path)
+        assert path.read_text().splitlines()[1] == "baseline,0,8.0,0.0,0.5,0.25,10,1,2.0"
+        assert parse_csv(path) == [row]
+
     def test_parse_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             parse_csv(path)
+
+
+def _ini_pairs(path) -> set[tuple[str, str]]:
+    """The (section, key) pairs an experiment file sets."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read(path)
+    return {(section, key) for section in parser.sections() for key in parser[section]}
 
 
 CONFIG_TEXT = """
@@ -439,6 +456,54 @@ class TestConfigFileAndCli:
         assert cfg.snr_db_list == (5.0, 7.0)
         assert cfg.bp_iters == 10
         assert cfg.master_seed == 123
+
+    def test_every_ini_key_reaches_its_field(self, tmp_path):
+        """One file sets every key to a non-default value; modulation and
+        kind are lowercased, out keeps its case, and the sentinel words
+        random and auto give way to values."""
+        out = tmp_path / "Runs" / "Flat.CSV"
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[frame]\nmodulation = BPSK\nm_symbols = 3\n"
+            "[code]\ninterleaver_seed = 7\n"
+            "[channel]\nkind = Selective\ntaps = 3\ndecay = 0.5\ndelta = 0.05\ntau = 3\n"
+            "[receiver]\nreceivers = em_bp\nem_bp_k = 2, 5\nbp_iters = 12\n"
+            "particle_rounds = 2\nparticle_l = 6\nparticle_shrink = 0.2\n"
+            "em_refine_passes = 1\nsigma_w2 = 0.5\n"
+            "[run]\nsnr_db = 5, 9.5\ntrials_per_snr = 40\nmin_errors = 7\nmin_frames = 3\n"
+            f"noiseless = yes\nmaster_seed = 99\nout = {out}\njobs = 3\n"
+        )
+        assert _ini_pairs(path) == set(_INI_KEYS)
+        cfg = load_config(path)
+        assert cfg == ExperimentConfig(
+            snr_db_list=(5.0, 9.5),
+            trials_per_snr=40,
+            min_errors=7,
+            min_frames=3,
+            modulation="bpsk",
+            m_symbols=3,
+            interleaver_seed=7,
+            channel_kind="selective",
+            n_taps=3,
+            decay=0.5,
+            delta=0.05,
+            tau=3,
+            receivers=("em_bp",),
+            em_bp_k=(2, 5),
+            bp_iters=12,
+            particle_rounds=2,
+            particle_l=6,
+            particle_shrink=0.2,
+            em_refine_passes=1,
+            sigma_w2_override=0.5,
+            noiseless=True,
+            master_seed=99,
+            output_path=str(out),
+            jobs=3,
+        )
+        default = ExperimentConfig()
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -489,6 +554,11 @@ class TestConfigFileAndCli:
             ("[run]\ntrails_per_snr = 10\n", [], "trails_per_snr"),
             ("[run]\nout = no_such_dir/x.csv\n", [], "no_such_dir/x.csv"),
             ("[run]\n", ["--out", "no_such_dir/x.csv"], "no_such_dir/x.csv"),
+            ("[run]\nsnr_db = 1e308\n", [], "snr_db"),
+            ("[run]\nsnr_db = -1e308\n", [], "snr_db"),
+            ("[channel]\ndelta = 1e300\n", [], "delta"),
+            ("[receiver]\nsigma_w2 = 1e-320\n", [], "sigma_w2"),
+            ("[run]\n", ["--snr", "4, x"], None),
         ],
         ids=[
             "empty-snr", "tau-past-cp", "taps-past-cp", "snr-nan", "modulation",
@@ -496,7 +566,8 @@ class TestConfigFileAndCli:
             "refine-passes", "removed-key",
             "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
-            "out-dir-missing", "cli-out-dir-missing",
+            "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
+            "delta-overflow", "sigma-w2-subnormal", "cli-snr-malformed",
         ],
     )
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys, monkeypatch, text, args, named):
@@ -526,6 +597,7 @@ class TestConfigFileAndCli:
         readme = (ROOT / "README.md").read_text()
         path = tmp_path / "experiment.ini"
         path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert _ini_pairs(path) == set(_INI_KEYS)  # the example names every key
         assert load_config(path) == ExperimentConfig(
             snr_db_list=(8.0, 12.0, 16.0, 20.0), trials_per_snr=2000, em_bp_k=(1, 7)
         )
