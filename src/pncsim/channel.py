@@ -101,14 +101,7 @@ def sample_flat(
     cfo_b: float = 0.0,
 ) -> ChannelRealization:
     """Flat Rayleigh fading: one unit-mean-power tap per node."""
-    profile = np.ones(1)
-    return ChannelRealization(
-        taps_a=_draw_taps(rng, profile),
-        taps_b=_draw_taps(rng, profile),
-        relative_delay=tau,
-        cfo_a=cfo_a,
-        cfo_b=cfo_b,
-    )
+    return sample_selective(1, 0.0, rng, tau, cfo_a, cfo_b)
 
 
 def sample_selective(

@@ -9,6 +9,7 @@ results are bit-identical whether trials run serially or in parallel.
 """
 
 import configparser
+import contextlib
 import csv
 import multiprocessing
 import time
@@ -80,15 +81,15 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if self.master_seed < 0 or self.interleaver_seed < 0:
             raise ValueError("master_seed and interleaver_seed must be >= 0")
-        if not 0 <= self.delta < np.inf:
-            raise ValueError("delta must be finite and >= 0")
+        if not 0 <= self.delta <= 1:  # past 1, |cfo| exceeds half a subcarrier spacing
+            raise ValueError("delta must lie in [0, 1]")
         if not 0 <= self.decay < np.inf:
             raise ValueError("decay must be finite and >= 0")
         if self.channel_kind not in ("flat", "selective"):
             raise ValueError(f"unknown channel kind {self.channel_kind!r}")
         frame_cfg = frame_mod.default_config(self.modulation, self.m_symbols, 0)
         # node B's delayed taps must end inside the cyclic prefix
-        taps = self.n_taps if self.channel_kind == "selective" else 1
+        taps = self.taps
         if not 1 <= taps <= frame_cfg.n_cp + 1:
             raise ValueError(f"taps must lie in [1, {frame_cfg.n_cp + 1}]")
         if self.tau is not None and not 0 <= self.tau <= frame_cfg.n_cp + 1 - taps:
@@ -102,15 +103,19 @@ class ExperimentConfig:
             raise ValueError("em_bp requested but no iteration counts given")
         if any(k < 1 for k in self.em_bp_k):
             raise ValueError("em_bp iteration counts must be >= 1")
-        for snr_db in snrs:  # the noise+ICI variance each trial's receiver assumes
+        for snr_db in snrs:  # delta <= 1 bounds the ICI term, so only the noise can overflow
             try:
                 sigma_n2 = _sigma_n2_for(self, frame_cfg, snr_db)
-                noise_var = rx_mod.effective_noise_var(sigma_n2, self.delta)
-            except ArithmeticError:  # Eb/N0 or the ICI term overflows, or Eb/N0 underflows to 0
-                noise_var = np.inf
-            if not noise_var < np.inf:
-                raise ValueError(f"snr_db = {snr_db}, delta = {self.delta}: noise out of range")
+            except ArithmeticError:  # Eb/N0 overflows, or underflows to 0
+                sigma_n2 = np.inf
+            if not sigma_n2 < np.inf:
+                raise ValueError(f"snr_db = {snr_db}: noise out of range")
         self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
+
+    @property
+    def taps(self) -> int:
+        """Taps per node: n_taps on a selective channel, one on a flat one."""
+        return self.n_taps if self.channel_kind == "selective" else 1
 
     def reported(self) -> list[tuple[str, int]]:
         """(receiver label, em iteration count) rows, in output order."""
@@ -202,47 +207,40 @@ class _TrialContext:
     tone_map: frame_mod.ToneMap
     decoder: JointPairDecoder
     report_ks: tuple
+    sigma_n2: tuple[float, ...]  # per SNR point: the relay's noise variance
+    rx_cfgs: tuple[rx_mod.ReceiverConfig, ...]  # per SNR point
 
 
 def _make_context(cfg: ExperimentConfig) -> _TrialContext:
     ks = tuple(k for _, k in cfg.reported())
     frame_cfg = frame_mod.default_config(cfg.modulation, cfg.m_symbols, max(ks))
     ra_code = RaCode.build(frame_cfg.k_info, cfg.interleaver_seed)
+    sigma_n2 = tuple(_sigma_n2_for(cfg, frame_cfg, snr_db) for snr_db in cfg.snr_db_list)
     return _TrialContext(
         cfg=cfg,
         frame_cfg=frame_cfg,
         tone_map=frame_cfg.tone_map(),
         decoder=JointPairDecoder(ra_code, frame_cfg.constellation()),
         report_ks=ks,
+        sigma_n2=sigma_n2,
+        rx_cfgs=tuple(cfg.receiver_config(s) for s in sigma_n2),
     )
 
 
-def run_single_trial(
-    ctx: _TrialContext, snr_idx: int, trial_idx: int, sigma_n2: float
-) -> TrialMetrics:
+def run_single_trial(ctx: _TrialContext, snr_idx: int, trial_idx: int) -> TrialMetrics:
     """One frame pair end to end; all reported receivers see the same samples."""
     cfg = ctx.cfg
     fc = ctx.frame_cfg
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, snr_idx, trial_idx])
     )
-    if cfg.channel_kind == "flat":
-        n_taps_b = 1
-        draw = lambda tau, ca, cb: chan_mod.sample_flat(rng, tau, ca, cb)
-    else:
-        n_taps_b = cfg.n_taps
-        draw = lambda tau, ca, cb: chan_mod.sample_selective(
-            cfg.n_taps, cfg.decay, rng, tau, ca, cb
-        )
-    if cfg.tau is None:
-        tau = int(rng.integers(0, fc.n_cp - n_taps_b + 2))
-    else:
-        tau = cfg.tau
+    tau = cfg.tau
+    if tau is None:
+        tau = int(rng.integers(0, fc.n_cp - cfg.taps + 2))
+    cfo_a = cfo_b = 0.0
     if cfg.delta > 0:
         cfo_a, cfo_b = rng.uniform(-cfg.delta / 2, cfg.delta / 2, size=2)
-    else:
-        cfo_a = cfo_b = 0.0
-    chan = draw(tau, cfo_a, cfo_b)
+    chan = chan_mod.sample_selective(cfg.taps, cfg.decay, rng, tau, cfo_a, cfo_b)
 
     info_a = rng.integers(0, 2, fc.k_info)
     info_b = rng.integers(0, 2, fc.k_info)
@@ -253,11 +251,10 @@ def run_single_trial(
         ra_encode(info_b, ctx.decoder.ra), fc, ctx.tone_map, ctx.decoder.constellation, "b"
     )
     samples = chan_mod.simulate_uplink(
-        frame_a, frame_b, chan, chan_mod.NoiseModel(sigma_n2), rng, fc
+        frame_a, frame_b, chan, chan_mod.NoiseModel(ctx.sigma_n2[snr_idx]), rng, fc
     )
     freq = rx_mod.demodulate(samples, fc)
-    rx_cfg = cfg.receiver_config(sigma_n2)
-    out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, rx_cfg)
+    out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, ctx.rx_cfgs[snr_idx])
     truth = chan_mod.phase_trajectory(chan, fc)
     true_xor = np.bitwise_xor(info_a, info_b)
     errors = np.array(
@@ -277,7 +274,7 @@ def _init_worker(ctx: _TrialContext, next_trial=None):
     _WORKER_NEXT = next_trial
 
 
-def _take_trials(ctx, next_trial, snr_idx, stop, sigma_n2) -> list[tuple[int, TrialMetrics]]:
+def _take_trials(ctx, next_trial, snr_idx, stop) -> list[tuple[int, TrialMetrics]]:
     """Run the trials whose index this process takes from next_trial until
     it reaches stop.  A trial that raises sets the counter to stop, so no
     process starts another one."""
@@ -289,16 +286,15 @@ def _take_trials(ctx, next_trial, snr_idx, stop, sigma_n2) -> list[tuple[int, Tr
                 return done
             next_trial.value = trial_idx + 1
         try:
-            done.append((trial_idx, run_single_trial(ctx, snr_idx, trial_idx, sigma_n2)))
+            done.append((trial_idx, run_single_trial(ctx, snr_idx, trial_idx)))
         except BaseException:
             with next_trial.get_lock():
                 next_trial.value = stop
             raise
 
 
-def _worker_trials(args) -> list[tuple[int, TrialMetrics]]:
-    snr_idx, stop, sigma_n2 = args
-    return _take_trials(_WORKER_CTX, _WORKER_NEXT, snr_idx, stop, sigma_n2)
+def _worker_trials(snr_idx, stop) -> list[tuple[int, TrialMetrics]]:
+    return _take_trials(_WORKER_CTX, _WORKER_NEXT, snr_idx, stop)
 
 
 def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_db: float) -> float:
@@ -309,6 +305,37 @@ def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_d
     ).sigma_n2
 
 
+@contextlib.contextmanager
+def trial_runner(cfg: ExperimentConfig):
+    """Yield ``(ctx, run)``: ``run(snr_idx, start, stop)`` returns the
+    TrialMetrics of trials [start, stop) of one SNR point, in trial order.
+    The calling process and min(jobs, trials_per_snr) - 1 pool workers, one
+    task each per call and alive until the with block ends, take the trial
+    indices from one shared counter, so the list is the same for any jobs."""
+    ctx = _make_context(cfg)
+    next_trial = multiprocessing.Value("q", 0)
+    pool = None
+    workers = min(cfg.jobs, cfg.trials_per_snr) - 1  # past the cap a worker would get no trial
+    if workers > 0:
+        pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx, next_trial))
+
+    def run(snr_idx: int, start: int, stop: int) -> list[TrialMetrics]:
+        next_trial.value = start
+        if pool is not None:
+            pending = pool.starmap_async(_worker_trials, [(snr_idx, stop)] * workers)
+        done = _take_trials(ctx, next_trial, snr_idx, stop)
+        if pool is not None:
+            done += [d for part in pending.get() for d in part]
+        return [m for _, m in sorted(done, key=lambda d: d[0])]
+
+    try:
+        yield ctx, run
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the sweep: per SNR, run trials until the error-count policy
     (>= min_errors XOR-bit errors for every reported receiver, after at
@@ -317,23 +344,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     The policy is checked only at multiples of _BATCH frames (and at the
     cap), so the trials run never depend on jobs.  One frame adds at most
     k_info errors per receiver, so each check runs every trial up to the
-    first such multiple at which the policy could hold.  The calling process
-    and jobs - 1 pool workers (one task each per check) take those trial
-    indices from one shared counter; the results are summed in trial order,
-    so every row is the same for any jobs."""
-    ctx = _make_context(cfg)
-    k_info = ctx.frame_cfg.k_info
+    first such multiple at which the policy could hold, as one trial_runner
+    call, and sums the results in trial order."""
     reported = cfg.reported()
     n_rep = len(reported)
     result = ExperimentResult(config=cfg)
-    next_trial = multiprocessing.Value("q", 0)
-    pool = None
-    workers = min(cfg.jobs, cfg.trials_per_snr) - 1  # past the cap a worker would get no trial
-    if workers > 0:
-        pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx, next_trial))
-    try:
+    with trial_runner(cfg) as (ctx, run):
+        k_info = ctx.frame_cfg.k_info
         for snr_idx, snr_db in enumerate(cfg.snr_db_list):
-            sigma_n2 = _sigma_n2_for(cfg, ctx.frame_cfg, snr_db)
             t0 = time.perf_counter()
             errors = np.zeros(n_rep, dtype=np.int64)
             mse_sum = np.zeros((n_rep, 2))
@@ -347,14 +365,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 shortfall = -(-(cfg.min_errors - int(errors.min())) // k_info)
                 need = max(cfg.min_frames, frames + 1, frames + shortfall)
                 stop = min(-(-need // _BATCH) * _BATCH, cfg.trials_per_snr)
-                next_trial.value = frames
-                if pool is not None:
-                    pending = pool.map_async(_worker_trials, [(snr_idx, stop, sigma_n2)] * workers)
-                done = _take_trials(ctx, next_trial, snr_idx, stop, sigma_n2)
-                if pool is not None:
-                    done += [d for part in pending.get() for d in part]
-                done.sort(key=lambda d: d[0])
-                for _, m in done:
+                for m in run(snr_idx, frames, stop):
                     errors += m.xor_errors
                     mse_sum += m.mse
                     bits += m.bits
@@ -375,10 +386,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         errors=int(errors[i]),
                     )
                 )
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
     # deterministic row order: receiver block first, SNR ascending inside
     order = {rep: i for i, rep in enumerate(reported)}
     result.rows.sort(key=lambda r: (order[(r.receiver, r.em_iters)], r.snr_db))

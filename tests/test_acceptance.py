@@ -14,6 +14,7 @@ import pytest
 from pncsim.harness import (
     ExperimentConfig,
     run_experiment,
+    trial_runner,
     wilson_interval,
 )
 
@@ -23,6 +24,13 @@ JOBS = 2
 def _report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def _per_frame(cfg):
+    """TrialMetrics of every trial of the config's one SNR point, in trial
+    order, so the receivers can be compared frame by frame."""
+    with trial_runner(cfg) as (_, run):
+        return run(0, 0, cfg.trials_per_snr)
 
 
 def _ber_curve(result, receiver, k):
@@ -110,23 +118,16 @@ class TestCriterion2MseMonotonicity:
     """Phase-estimate MSE improves with EM iterations at 8 dB flat fading."""
 
     def test_mse_ordering_with_paired_errors(self):
-        from pncsim.harness import _make_context, _sigma_n2_for, run_single_trial
-
         cfg = ExperimentConfig(
             snr_db_list=(8.0,),
             trials_per_snr=500,
             min_errors=10**9,
             em_bp_k=(1, 7),
             master_seed=202,
+            jobs=JOBS,
         )
-        ctx = _make_context(cfg)
-        sigma_n2 = _sigma_n2_for(cfg, ctx.frame_cfg, 8.0)
-        per_frame = np.array(
-            [
-                run_single_trial(ctx, 0, t, sigma_n2).mse.mean(axis=1)
-                for t in range(500)
-            ]
-        )  # (frames, 3) for k = 0, 1, 7
+        # (frames, 3) for k = 0, 1, 7
+        per_frame = np.array([m.mse.mean(axis=1) for m in _per_frame(cfg)])
         means = per_frame.mean(axis=0)
         gap_01 = per_frame[:, 0] - per_frame[:, 1]
         gap_17 = per_frame[:, 1] - per_frame[:, 2]
@@ -253,8 +254,6 @@ class TestCriterion5DelayInvariance:
     """With zero CFO, any delay within the CP leaves BER statistically flat."""
 
     def test_tau_sweep_overlapping_intervals(self):
-        from pncsim.harness import _make_context, _sigma_n2_for, run_single_trial
-
         intervals = {}
         for tau in (0, 4, 8, 12):
             cfg = ExperimentConfig(
@@ -269,16 +268,9 @@ class TestCriterion5DelayInvariance:
                 receivers=("baseline",),
                 em_bp_k=(),
                 master_seed=505,
+                jobs=JOBS,
             )
-            ctx = _make_context(cfg)
-            sigma_n2 = _sigma_n2_for(cfg, ctx.frame_cfg, 7.0)
-            rates = np.array(
-                [
-                    run_single_trial(ctx, 0, t, sigma_n2).xor_errors[0]
-                    / ctx.frame_cfg.k_info
-                    for t in range(400)
-                ]
-            )
+            rates = np.array([m.xor_errors[0] / m.bits for m in _per_frame(cfg)])
             intervals[tau] = (rates.mean(), _cluster_interval(rates))
         lo = max(iv[0] for _, iv in intervals.values())
         hi = min(iv[1] for _, iv in intervals.values())
@@ -298,8 +290,6 @@ class TestCriterion6ZeroCfoEquivalence:
     """Without phase drift the EM-BP machinery must not change the BER."""
 
     def test_baseline_matches_em_bp(self):
-        from pncsim.harness import _make_context, _sigma_n2_for, run_single_trial
-
         cfg = ExperimentConfig(
             snr_db_list=(10.0,),
             trials_per_snr=500,
@@ -308,15 +298,10 @@ class TestCriterion6ZeroCfoEquivalence:
             delta=0.0,
             em_bp_k=(1, 7),
             master_seed=606,
+            jobs=JOBS,
         )
-        ctx = _make_context(cfg)
-        sigma_n2 = _sigma_n2_for(cfg, ctx.frame_cfg, 10.0)
-        rates = np.array(
-            [
-                run_single_trial(ctx, 0, t, sigma_n2).xor_errors / ctx.frame_cfg.k_info
-                for t in range(500)
-            ]
-        )  # (frames, 3) for k = 0, 1, 7
+        # (frames, 3) for k = 0, 1, 7
+        rates = np.array([m.xor_errors / m.bits for m in _per_frame(cfg)])
         iv = {k: _cluster_interval(rates[:, i]) for i, k in enumerate((0, 1, 7))}
         ok = True
         details = []

@@ -54,6 +54,17 @@ class TestSamplers:
         np.testing.assert_array_equal(c1.taps_a, c2.taps_a)
         np.testing.assert_array_equal(c1.h_freq_b, c2.h_freq_b)
 
+    @pytest.mark.parametrize("decay", [0.0, 0.25, 1.0, 50.0])
+    def test_flat_is_one_tap_selective(self, decay):
+        """A trial draws a flat channel as a one-tap selective one with the
+        configured decay, so both draws must be bit-identical for any decay."""
+        flat = sample_flat(np.random.default_rng(45), tau=2, cfo_a=0.01, cfo_b=-0.03)
+        one_tap = sample_selective(1, decay, np.random.default_rng(45), 2, 0.01, -0.03)
+        for name in ("taps_a", "taps_b", "h_freq_a", "h_freq_b"):
+            np.testing.assert_array_equal(getattr(flat, name), getattr(one_tap, name))
+        assert (flat.relative_delay, flat.cfo_a, flat.cfo_b) == (2, 0.01, -0.03)
+        assert (one_tap.relative_delay, one_tap.cfo_a, one_tap.cfo_b) == (2, 0.01, -0.03)
+
     def test_selective_profile_c1(self):
         rng = np.random.default_rng(2)
         acc = np.zeros(4)

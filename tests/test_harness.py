@@ -168,18 +168,18 @@ class TestRunExperiment:
         caller = threading.get_ident()
         trial = harness.run_single_trial
 
-        def logged_trial(ctx, snr_idx, trial_idx, sigma_n2):
+        def logged_trial(ctx, snr_idx, trial_idx):
             log["events"].append(("trial", snr_idx, trial_idx, threading.get_ident() == caller))
-            return trial(ctx, snr_idx, trial_idx, sigma_n2)
+            return trial(ctx, snr_idx, trial_idx)
 
         class LoggedPool(ThreadPool):
             def __init__(self, processes, initializer, initargs):
                 log["workers"].append(processes)
                 super().__init__(processes, initializer, initargs)
 
-            def map_async(self, fn, tasks):
+            def starmap_async(self, fn, tasks):
                 log["events"].append(("check", list(tasks)))
-                return super().map_async(fn, tasks)
+                return super().starmap_async(fn, tasks)
 
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
         monkeypatch.setattr(harness, "_WORKER_NEXT", None)
@@ -207,14 +207,11 @@ class TestRunExperiment:
         cfg = _tiny_config(snr_db_list=(6.0, 10.0), trials_per_snr=20, jobs=2)
         result = run_experiment(cfg)
         checks = self._checks(thread_pool)
-        assert [[(snr, stop) for snr, stop, _ in tasks] for tasks, _ in checks] == [
-            [(0, 20)],
-            [(1, 20)],
-        ]
+        assert [tasks for tasks, _ in checks] == [[(0, 20)], [(1, 20)]]
         assert [sorted(ids) for _, ids in checks] == [list(range(20))] * 2
         assert [r.frames for r in result.rows] == [20] * len(result.rows)
 
-        k_info = harness._make_context(cfg).frame_cfg.k_info
+        k_info = result.rows[0].bits // result.rows[0].frames
         for jobs in (2, 3):
             for kw in (
                 dict(min_frames=8, min_errors=700),  # error floor sets the first block
@@ -246,7 +243,7 @@ class TestRunExperiment:
         counter would run a trial twice."""
         ran = []
 
-        def instant_trial(ctx, snr_idx, trial_idx, sigma_n2):
+        def instant_trial(ctx, snr_idx, trial_idx):
             ran.append(trial_idx)
             n_rep = len(ctx.report_ks)
             return harness.TrialMetrics(np.zeros(n_rep, dtype=np.int64), 1, np.zeros((n_rep, 2)))
@@ -289,19 +286,36 @@ class TestRunExperiment:
         trial = harness.run_single_trial
         others = multiprocessing.Value("i", 0)
 
-        def failing_trial(ctx, snr_idx, trial_idx, sigma_n2):
+        def failing_trial(ctx, snr_idx, trial_idx):
             if (os.getpid() == caller) == (where == "caller"):
                 raise RuntimeError(f"trial {trial_idx} failed in the {where}")
             with others.get_lock():
                 others.value += 1
             time.sleep(0.2)
-            return trial(ctx, snr_idx, trial_idx, sigma_n2)
+            return trial(ctx, snr_idx, trial_idx)
 
         monkeypatch.setattr(harness, "run_single_trial", failing_trial)
         with pytest.raises(RuntimeError, match=f"failed in the {where}"):
             run_experiment(_tiny_config(trials_per_snr=24, jobs=2))
         assert multiprocessing.active_children() == []
         assert others.value < 12
+
+    def test_trial_range_matches_serial_trials(self):
+        """Trials [5, 13) of the second SNR point come back in trial order,
+        bit for bit the same as serial run_single_trial calls, for jobs = 1,
+        2 and 3."""
+        cfg = _tiny_config(snr_db_list=(6.0, 10.0), trials_per_snr=16)
+        with harness.trial_runner(cfg) as (ctx, _):
+            serial = [harness.run_single_trial(ctx, 1, t) for t in range(5, 13)]
+        assert len({m.mse.tobytes() for m in serial}) == 8  # the order shows
+        for jobs in (1, 2, 3):
+            with harness.trial_runner(with_overrides(cfg, jobs=jobs)) as (_, run):
+                got = run(1, 5, 13)
+            assert len(got) == len(serial)
+            for g, s in zip(got, serial):
+                assert np.array_equal(g.xor_errors, s.xor_errors) and g.bits == s.bits
+                assert g.mse.tobytes() == s.mse.tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_error_count_policy_stops_early(self):
         cfg = _tiny_config(snr_db_list=(0.0,), trials_per_snr=200, min_errors=10)
@@ -557,6 +571,7 @@ class TestConfigFileAndCli:
             ("[run]\nsnr_db = 1e308\n", [], "snr_db"),
             ("[run]\nsnr_db = -1e308\n", [], "snr_db"),
             ("[channel]\ndelta = 1e300\n", [], "delta"),
+            ("[channel]\ndelta = 1.5\n", [], "delta"),
             ("[receiver]\nsigma_w2 = 1e-320\n", [], "sigma_w2"),
             ("[run]\n", ["--snr", "4, x"], None),
         ],
@@ -567,7 +582,7 @@ class TestConfigFileAndCli:
             "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
             "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
-            "delta-overflow", "sigma-w2-subnormal", "cli-snr-malformed",
+            "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
         ],
     )
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys, monkeypatch, text, args, named):
