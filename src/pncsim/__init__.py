@@ -3,8 +3,8 @@ coding in a two-way relay channel."""
 
 from .channel import (
     ChannelRealization,
-    NoiseModel,
     exp_power_profile,
+    noise_var,
     phase_trajectory,
     sample_flat,
     sample_selective,

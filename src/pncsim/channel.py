@@ -50,37 +50,22 @@ class ChannelRealization:
         return max(la - 1, self.relative_delay + lb - 1) <= FrameConfig.n_cp
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-sample complex noise variance at the relay frontend.
+def noise_var(ebn0_db: float, code_rate: float, bits_per_symbol: int) -> float:
+    """Map a target Eb/N0 to the time-domain noise variance.
 
-    ``sigma_n2 = 0`` is allowed for noiseless ablations; the Eb/N0
-    constructor always yields a positive variance.
+    The received symbol energy per node per data tone is 1 by
+    construction (unit-energy constellation, unit-power channel), and
+    the unitary DFT makes the per-tone noise variance equal sigma_n2.
+    Each data tone carries code_rate * bits_per_symbol source bits, so
+    Eb = 1 / (code_rate * bits_per_symbol) and
+
+        sigma_n2 = 1 / (code_rate * bits_per_symbol * Eb/N0).
+
+    Strictly decreasing in Eb/N0.  Pilot and CP overhead are not
+    charged to Eb.
     """
-
-    sigma_n2: float
-
-    def __post_init__(self):
-        if self.sigma_n2 < 0:
-            raise ValueError("noise variance must be nonnegative")
-
-    @classmethod
-    def from_ebn0_db(cls, ebn0_db: float, code_rate: float, bits_per_symbol: int) -> "NoiseModel":
-        """Map a target Eb/N0 to the time-domain noise variance.
-
-        The received symbol energy per node per data tone is 1 by
-        construction (unit-energy constellation, unit-power channel), and
-        the unitary DFT makes the per-tone noise variance equal sigma_n2.
-        Each data tone carries code_rate * bits_per_symbol source bits, so
-        Eb = 1 / (code_rate * bits_per_symbol) and
-
-            sigma_n2 = 1 / (code_rate * bits_per_symbol * Eb/N0).
-
-        Strictly decreasing in Eb/N0.  Pilot and CP overhead are not
-        charged to Eb.
-        """
-        ebn0 = 10.0 ** (ebn0_db / 10.0)
-        return cls(1.0 / (code_rate * bits_per_symbol * ebn0))
+    ebn0 = 10.0 ** (ebn0_db / 10.0)
+    return 1.0 / (code_rate * bits_per_symbol * ebn0)
 
 
 def exp_power_profile(n_taps: int, decay: float) -> np.ndarray:
@@ -131,7 +116,7 @@ def simulate_uplink(
     frame_a: np.ndarray,
     frame_b: np.ndarray,
     chan: ChannelRealization,
-    noise: NoiseModel,
+    sigma_n2: float,
     rng: np.random.Generator,
     config: FrameConfig,
 ) -> np.ndarray:
@@ -139,13 +124,16 @@ def simulate_uplink(
 
     Each node's stream is convolved with its taps; node B's is delayed by
     the relative offset; each then rotates by exp(j*2*pi*cfo*n/N) at
-    receiver sample index n; complex white noise is added.  The output is
+    receiver sample index n; complex white noise of per-sample variance
+    ``sigma_n2`` is added (0 for noiseless ablations).  The output is
     truncated to the frame length (tails past the last DFT window are
     irrelevant to demodulation).
     """
     n_total = config.m_symbols * config.n_s
     if len(frame_a) != n_total or len(frame_b) != n_total:
         raise ValueError("frames must be m_symbols * n_s samples long")
+    if sigma_n2 < 0:
+        raise ValueError("noise variance must be nonnegative")
     if not chan.delay_spread_ok():
         raise ValueError("delay spread exceeds the cyclic prefix")
     n = np.arange(n_total)
@@ -158,8 +146,8 @@ def simulate_uplink(
         sig_b[tau : tau + take] = sig_b_full[:take]
     out = sig_a * np.exp(2j * np.pi * chan.cfo_a * n / config.n_fft)
     out += sig_b * np.exp(2j * np.pi * chan.cfo_b * n / config.n_fft)
-    if noise.sigma_n2 > 0:
-        scale = np.sqrt(noise.sigma_n2 / 2.0)
+    if sigma_n2 > 0:
+        scale = np.sqrt(sigma_n2 / 2.0)
         out += scale * (rng.standard_normal(n_total) + 1j * rng.standard_normal(n_total))
     return out
 

@@ -68,6 +68,8 @@ def main(argv=None) -> int:
         for _, path in runs:
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"output directory of {path!r} does not exist")
+            if os.path.isdir(path):
+                raise ValueError(f"output path {path!r} is a directory")
     except (OSError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2

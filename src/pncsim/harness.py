@@ -101,8 +101,8 @@ class ExperimentConfig:
             raise ValueError("at least one receiver must be configured")
         if "em_bp" in self.receivers and not self.em_bp_k:
             raise ValueError("em_bp requested but no iteration counts given")
-        if any(k < 1 for k in self.em_bp_k):
-            raise ValueError("em_bp iteration counts must be >= 1")
+        if any(k < 1 for k in self.em_bp_k) or len(set(self.em_bp_k)) != len(self.em_bp_k):
+            raise ValueError(f"em_bp_k must list distinct counts >= 1, got {self.em_bp_k}")
         for snr_db in snrs:  # delta <= 1 bounds the ICI term, so only the noise can overflow
             try:
                 sigma_n2 = _sigma_n2_for(self, frame_cfg, snr_db)
@@ -250,9 +250,7 @@ def run_single_trial(ctx: _TrialContext, snr_idx: int, trial_idx: int) -> TrialM
     frame_b = frame_mod.transmit_frame(
         ra_encode(info_b, ctx.decoder.ra), fc, ctx.tone_map, ctx.decoder.constellation, "b"
     )
-    samples = chan_mod.simulate_uplink(
-        frame_a, frame_b, chan, chan_mod.NoiseModel(ctx.sigma_n2[snr_idx]), rng, fc
-    )
+    samples = chan_mod.simulate_uplink(frame_a, frame_b, chan, ctx.sigma_n2[snr_idx], rng, fc)
     freq = rx_mod.demodulate(samples, fc)
     out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, ctx.rx_cfgs[snr_idx])
     truth = chan_mod.phase_trajectory(chan, fc)
@@ -300,9 +298,7 @@ def _worker_trials(snr_idx, stop) -> list[tuple[int, TrialMetrics]]:
 def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_db: float) -> float:
     if cfg.noiseless:
         return 0.0
-    return chan_mod.NoiseModel.from_ebn0_db(
-        snr_db, 1.0 / frame_cfg.code_rate_inv, frame_cfg.bits_per_symbol
-    ).sigma_n2
+    return chan_mod.noise_var(snr_db, 1.0 / frame_cfg.code_rate_inv, frame_cfg.bits_per_symbol)
 
 
 @contextlib.contextmanager

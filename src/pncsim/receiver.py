@@ -7,10 +7,10 @@ decode with the current phase pair, then re-estimate each OFDM symbol's
 phase pair by maximizing the posterior-weighted fit of the received tones
 with a shrinking particle grid, and finally decodes once more with the
 converged phases before taking the per-bit XOR decision.  Each M-step is
-one objective build and one particle search batched over all M symbols.
-The grid's full-plane lattice is anchored at each symbol's running phase
-estimate, not at absolute phase 0, so the search treats every true drift
-alike.
+one objective build and 1 + em_refine_passes particle searches, each
+batched over all M symbols.  The grid's full-plane lattice is anchored at
+each symbol's running phase estimate, not at absolute phase 0, so the
+search treats every true drift alike.
 """
 
 from __future__ import annotations
@@ -108,21 +108,17 @@ def ls_pilot_phase(
     alone.  A zero-magnitude correlation falls back to the previous symbol's
     estimate (0 for the first symbol).
     """
-    m_symbols = r.shape[0]
-    theta = np.zeros((m_symbols, 2))
+    theta = np.empty((r.shape[0], 2))
     refs = (
         (tone_map.pilot_tones_a, tone_map.pilot_values_a, h_a),
         (tone_map.pilot_tones_b, tone_map.pilot_values_b, h_b),
     )
     for col, (tones, values, h) in enumerate(refs):
         corr = r[:, tones] @ np.conj(values * h[tones])
-        mags = np.abs(corr)
-        for m in range(m_symbols):
-            if mags[m] == 0.0:
-                warnings.warn("zero pilot correlation; reusing previous phase estimate")
-                theta[m, col] = theta[m - 1, col] if m > 0 else 0.0
-            else:
-                theta[m, col] = np.angle(corr[m])
+        theta[:, col] = np.angle(corr)
+        for m in np.flatnonzero(corr == 0):  # in order, so a run carries one estimate
+            warnings.warn("zero pilot correlation; reusing previous phase estimate")
+            theta[m, col] = theta[m - 1, col] if m > 0 else 0.0
     return _wrap(theta)
 
 
@@ -233,23 +229,22 @@ def particle_m_step(
     objective: PhaseObjective,
     prev_theta: np.ndarray,
     rx_cfg: ReceiverConfig,
-    center: np.ndarray | None = None,
-    span: float = 2.0 * np.pi,
+    span: float | None = None,
 ) -> np.ndarray:
     """Maximize the symbols' phase objectives with a shrinking particle grid.
 
-    ``prev_theta`` (and ``center``) is (M, 2) for an objective over M
-    symbols or (2,) for one, and so is the result.  With L = particle_l, the
-    particles of all rows run as one (2, M, L^2) array of theta_a and
-    theta_b planes, and no row affects another.  Start from the L x L
-    lattice covering ``span`` per axis (by default the full plane, anchored
-    at ``prev_theta``: prev_theta + 2pi*i/L; pass ``center`` and a smaller
-    span to refine around a known candidate); for each of particle_rounds
-    rounds, weight a row's particles by exp((value - row max)/sigma_w2) and
-    pull them towards their weighted mean by particle_shrink; finally return
-    each row's best particle of the last round, or its initial lattice
-    argmax if that scores higher.  A row with degenerate weights returns its
-    own ``prev_theta``, with one warning.
+    ``prev_theta`` is (M, 2) for an objective over M symbols or (2,) for
+    one, and so is the result.  With L = particle_l, the particles of all
+    rows run as one (2, M, L^2) array of theta_a and theta_b planes, and no
+    row affects another.  Start from an L x L lattice: with ``span`` None the
+    full plane anchored at ``prev_theta`` (prev_theta + 2pi*i/L), else a
+    window of ``span`` per axis centred on ``prev_theta``; for each of
+    particle_rounds rounds, weight a row's particles by
+    exp((value - row max)/sigma_w2) and pull them towards their weighted
+    mean by particle_shrink; finally return each row's best particle of the
+    last round, or its initial lattice argmax if that scores higher, wrapped
+    into [0, 2pi).  A row with degenerate weights returns its own
+    ``prev_theta``, with one warning.
 
     Because the lattice rides on the running estimate rather than on
     absolute phase 0, rotating the objective by (phi_a, phi_b) and
@@ -259,11 +254,10 @@ def particle_m_step(
     prev = np.asarray(prev_theta, dtype=float)
     rows = np.arange(prev.size // 2)
     l_grid, shrink = rx_cfg.particle_l, rx_cfg.particle_shrink
-    base = span * np.arange(l_grid) / l_grid
-    if center is None:
-        base = base + prev.reshape(-1, 2).T[:, :, None]  # (2, M, L)
-    else:
-        base = base - span * (l_grid - 1) / (2 * l_grid) + np.reshape(center, (-1, 2)).T[:, :, None]
+    base = (2.0 * np.pi if span is None else span) * np.arange(l_grid) / l_grid
+    if span is not None:
+        base = base - span * (l_grid - 1) / (2 * l_grid)
+    base = base + prev.reshape(-1, 2).T[:, :, None]  # (2, M, L)
     # particle i*L + j pairs theta_a offset i with theta_b offset j
     particles = np.stack([base[0].repeat(l_grid, axis=1), np.tile(base[1], l_grid)])
     # (L^2, M) views broadcast against the objective's (M,) statistics
@@ -295,20 +289,22 @@ def particle_m_step(
 
 def m_step(objective: PhaseObjective, theta: np.ndarray, rx_cfg: ReceiverConfig) -> np.ndarray:
     """One EM M-step on the (M, 2) phases of an M-symbol objective, or the
-    (2,) phases of one symbol: the particle search, then per row the
-    monotone guard and the refine passes."""
+    (2,) phases of one symbol, in 1 + em_refine_passes particle searches.
+
+    Stage 0 searches the full plane anchored at the running estimate; each
+    later stage a window centred on it, its span shrunk from 2pi by
+    2/particle_l per stage.  A row keeps a stage's result only if it scores
+    no lower than the running estimate: the searches return lattice-descended
+    points, whose quantization error can exceed the pilot estimate's, so an
+    unguarded EM round could degrade good phases.
+    """
     value = lambda t: objective.value(t[..., 0], t[..., 1])
-    cand = particle_m_step(objective, theta, rx_cfg)
-    # Keep the previous pair unless the search improves the objective: the
-    # search returns lattice-descended points, whose quantization error can
-    # exceed the pilot estimate's, so each EM round could degrade good phases.
-    cand = np.where((value(cand) < value(theta))[..., None], theta, cand)
     span = 2.0 * np.pi
-    for _ in range(rx_cfg.em_refine_passes):
+    for stage in range(1 + rx_cfg.em_refine_passes):
+        found = particle_m_step(objective, theta, rx_cfg, span if stage else None)
+        theta = np.where((value(found) >= value(theta))[..., None], found, theta)
         span *= 2.0 / rx_cfg.particle_l
-        fine = particle_m_step(objective, cand, rx_cfg, cand, span)
-        cand = np.where((value(fine) >= value(cand))[..., None], _wrap(fine), cand)
-    return cand
+    return theta
 
 
 @dataclass(eq=False)

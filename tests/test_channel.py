@@ -5,8 +5,8 @@ import pytest
 
 from pncsim.channel import (
     ChannelRealization,
-    NoiseModel,
     exp_power_profile,
+    noise_var,
     phase_trajectory,
     sample_flat,
     sample_selective,
@@ -101,16 +101,14 @@ class TestSimulateUplink:
             taps_a=np.array([1.0]), taps_b=np.array([1.0]),
             relative_delay=0, cfo_a=0.0, cfo_b=0.0,
         )
-        out = simulate_uplink(fa, fb, chan, NoiseModel(0.0), np.random.default_rng(0), cfg)
+        out = simulate_uplink(fa, fb, chan, 0.0, np.random.default_rng(0), cfg)
         np.testing.assert_allclose(out, fa + fb, atol=1e-15)
 
     def test_single_node_post_dft_model(self, cfg):
         fa, _ = make_frames(cfg)
         rng = np.random.default_rng(5)
         chan = sample_selective(4, 1.0, rng)
-        out = simulate_uplink(
-            fa, np.zeros_like(fa), chan, NoiseModel(0.0), rng, cfg
-        )
+        out = simulate_uplink(fa, np.zeros_like(fa), chan, 0.0, rng, cfg)
         freq = demodulate(out, cfg)
         # rebuild the transmitted grid to compare R = H * X per tone
         grid = np.fft.fft(
@@ -123,9 +121,7 @@ class TestSimulateUplink:
         rng = np.random.default_rng(6)
         tau = 8
         chan = sample_selective(4, 1.0, rng, tau=tau)
-        out = simulate_uplink(
-            np.zeros_like(fb), fb, chan, NoiseModel(0.0), rng, cfg
-        )
+        out = simulate_uplink(np.zeros_like(fb), fb, chan, 0.0, rng, cfg)
         freq = demodulate(out, cfg)
         grid = np.fft.fft(
             fb.reshape(cfg.m_symbols, cfg.n_s)[:, cfg.n_cp :], norm="ortho", axis=1
@@ -141,7 +137,7 @@ class TestSimulateUplink:
         fa, fb = make_frames(cfg, seed=tau)
         rng = np.random.default_rng(7)
         chan = sample_selective(4, 0.5, rng, tau=tau)
-        out = simulate_uplink(fa, fb, chan, NoiseModel(0.0), rng, cfg)
+        out = simulate_uplink(fa, fb, chan, 0.0, rng, cfg)
         freq = demodulate(out, cfg)
         ga = np.fft.fft(fa.reshape(cfg.m_symbols, cfg.n_s)[:, cfg.n_cp :], norm="ortho", axis=1)
         gb = np.fft.fft(fb.reshape(cfg.m_symbols, cfg.n_s)[:, cfg.n_cp :], norm="ortho", axis=1)
@@ -154,21 +150,21 @@ class TestSimulateUplink:
         chan = sample_selective(3, 1.0, rng, tau=5, cfo_a=0.03, cfo_b=-0.02)
         zero = np.zeros_like(fa)
         rng_n = np.random.default_rng(0)
-        both = simulate_uplink(fa, fb, chan, NoiseModel(0.0), rng_n, cfg)
-        only_a = simulate_uplink(fa, zero, chan, NoiseModel(0.0), rng_n, cfg)
-        only_b = simulate_uplink(zero, fb, chan, NoiseModel(0.0), rng_n, cfg)
+        both = simulate_uplink(fa, fb, chan, 0.0, rng_n, cfg)
+        only_a = simulate_uplink(fa, zero, chan, 0.0, rng_n, cfg)
+        only_b = simulate_uplink(zero, fb, chan, 0.0, rng_n, cfg)
         np.testing.assert_allclose(both, only_a + only_b, atol=1e-12)
 
     def test_rejects_cp_violation(self, cfg):
         fa, fb = make_frames(cfg)
         chan = sample_selective(4, 1.0, np.random.default_rng(9), tau=14)  # 14+3 > 16
         with pytest.raises(ValueError, match="delay spread"):
-            simulate_uplink(fa, fb, chan, NoiseModel(0.0), np.random.default_rng(0), cfg)
+            simulate_uplink(fa, fb, chan, 0.0, np.random.default_rng(0), cfg)
 
     def test_boundary_delay_allowed(self, cfg):
         fa, fb = make_frames(cfg)
         chan = sample_selective(4, 1.0, np.random.default_rng(10), tau=13)  # 13+3 == 16
-        simulate_uplink(fa, fb, chan, NoiseModel(0.0), np.random.default_rng(0), cfg)
+        simulate_uplink(fa, fb, chan, 0.0, np.random.default_rng(0), cfg)
 
     def test_noise_variance(self, cfg):
         n = 1_000_000
@@ -180,24 +176,24 @@ class TestSimulateUplink:
             relative_delay=0, cfo_a=0.0, cfo_b=0.0,
         )
         sigma_n2 = 0.37
-        out = simulate_uplink(
-            zero, zero, chan, NoiseModel(sigma_n2), np.random.default_rng(11), big
-        )
+        out = simulate_uplink(zero, zero, chan, sigma_n2, np.random.default_rng(11), big)
         assert abs(np.mean(np.abs(out) ** 2) / sigma_n2 - 1.0) < 0.01
 
 
 class TestNoiseModel:
     def test_mapping_monotone_decreasing(self):
-        vals = [NoiseModel.from_ebn0_db(db, 1 / 3, 2).sigma_n2 for db in range(0, 20, 2)]
+        vals = [noise_var(db, 1 / 3, 2) for db in range(0, 20, 2)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_known_value(self):
         # Eb/N0 = 0 dB, rate 1/3, QPSK: sigma_n2 = 1 / (2/3) = 1.5
-        assert abs(NoiseModel.from_ebn0_db(0.0, 1 / 3, 2).sigma_n2 - 1.5) < 1e-12
+        assert abs(noise_var(0.0, 1 / 3, 2) - 1.5) < 1e-12
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            NoiseModel(-0.1)
+    def test_rejects_negative(self, cfg):
+        frame = np.zeros(cfg.m_symbols * cfg.n_s, dtype=complex)
+        chan = sample_flat(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="noise variance"):
+            simulate_uplink(frame, frame, chan, -0.1, np.random.default_rng(0), cfg)
 
 
 class TestPhaseTrajectory:

@@ -574,6 +574,8 @@ class TestConfigFileAndCli:
             ("[channel]\ndelta = 1.5\n", [], "delta"),
             ("[receiver]\nsigma_w2 = 1e-320\n", [], "sigma_w2"),
             ("[run]\n", ["--snr", "4, x"], None),
+            ("[receiver]\nem_bp_k = 2, 2\n", [], "em_bp_k"),
+            ("[run]\n", ["--out", "."], "is a directory"),
         ],
         ids=[
             "empty-snr", "tau-past-cp", "taps-past-cp", "snr-nan", "modulation",
@@ -583,6 +585,7 @@ class TestConfigFileAndCli:
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
             "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
             "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
+            "em-bp-k-repeated", "cli-out-is-dir",
         ],
     )
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys, monkeypatch, text, args, named):

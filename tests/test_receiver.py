@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pncsim.channel import (
     ChannelRealization,
-    NoiseModel,
+    noise_var,
     sample_flat,
     sample_selective,
     simulate_uplink,
@@ -199,6 +199,28 @@ class TestLsPilotPhase:
         with pytest.warns(UserWarning, match="zero pilot correlation"):
             est = ls_pilot_phase(freq, tm, np.ones(64, complex), np.ones(64, complex))
         np.testing.assert_array_equal(est, 0.0)
+
+    def test_zero_correlation_carries_previous_estimate(self):
+        """Node A's pilots are silent at symbols 0, 3 and 4: symbol 0 falls
+        back to 0, symbols 3 and 4 both carry symbol 2's estimate, and node
+        B's column does not move."""
+        cfg = default_config(QPSK, 6, 0)
+        tm = cfg.tone_map()
+        chan = unit_taps_channel(phase_a=0.9, phase_b=-1.2)
+        theta = np.linspace(0.3, 1.8, cfg.m_symbols)[:, None] * [1.0, -1.0]
+        freq, _, _ = _received_with_phases(cfg, theta, chan)
+        clean = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
+        freq[np.ix_([0, 3, 4], tm.pilot_tones_a)] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
+        assert [str(w.message) for w in caught] == [
+            "zero pilot correlation; reusing previous phase estimate"
+        ] * 3
+        assert est[0, 0] == 0.0
+        assert est[3, 0] == est[4, 0] == est[2, 0] != 0.0
+        np.testing.assert_array_equal(est[[1, 2, 5], 0], clean[[1, 2, 5], 0])
+        np.testing.assert_array_equal(est[:, 1], clean[:, 1])
 
 
 def oracle_evidence(r_tone, h_a, h_b, theta, points, sigma_w2):
@@ -457,15 +479,16 @@ class TestPhaseObjective:
 
 
 class _QuadraticObjective:
-    """Stand-in objective with a known analytic peak."""
+    """Stand-in objective with a known analytic peak: (2,) for one symbol,
+    (M, 2) for M symbols."""
 
     def __init__(self, peak, curvature=30.0):
         self.peak = np.asarray(peak, dtype=float)
         self.curvature = curvature
 
     def value(self, theta_a, theta_b):
-        da = np.angle(np.exp(1j * (np.asarray(theta_a) - self.peak[0])))
-        db = np.angle(np.exp(1j * (np.asarray(theta_b) - self.peak[1])))
+        da = np.angle(np.exp(1j * (np.asarray(theta_a) - self.peak[..., 0])))
+        db = np.angle(np.exp(1j * (np.asarray(theta_b) - self.peak[..., 1])))
         return -self.curvature * (da**2 + db**2)
 
 
@@ -594,9 +617,31 @@ class TestParticleMStep:
                     best = max(best, profile(tb))
                 assert got_vals[i] <= best + 1e-9
 
+    def test_m_step_never_scores_below_its_input(self, cfg):
+        """Every stage keeps its result only where it scores no lower than the
+        running estimate, so no row of an M-step ends below its input.  Rows
+        that start on the peak of a quadratic objective leave every refine
+        window's lattice with only worse points, so they need the keep rule."""
+        rng = np.random.default_rng(37)
+        for passes in (0, 1, 2):
+            for _ in range(10):
+                theta = rng.uniform(0, 2 * np.pi, (20, 2))
+                peak = theta + rng.uniform(-1, 1, (20, 2)) * (np.arange(20) % 2)[:, None]
+                for obj in (
+                    PhaseObjective(*self._random_objectives(cfg, rng, 20)),
+                    _QuadraticObjective(peak, curvature=rng.uniform(3, 300)),
+                ):
+                    rx_cfg = ReceiverConfig(
+                        sigma_w2=rng.uniform(0.01, 1.0), em_refine_passes=passes
+                    )
+                    got = m_step(obj, theta, rx_cfg)
+                    before = obj.value(theta[:, 0], theta[:, 1])
+                    assert np.all(obj.value(got[:, 0], got[:, 1]) >= before)
+
     def test_batched_equals_per_row_calls(self, cfg):
-        """One M-step over a stacked objective (search, monotone guard and a
-        refine pass) equals one single-symbol call per row.  A row whose
+        """One M-step over a stacked objective (the full-plane stage and a
+        refine stage, each with its keep rule) equals one single-symbol call
+        per row.  A row whose
         statistics are all NaN keeps its previous phases with one warning
         per search, and leaves every other row bit-identical."""
         rng = np.random.default_rng(36)
@@ -638,7 +683,7 @@ class TestParticleMStep:
         con = make_constellation(QPSK)
         tm = default_tone_map()
         data = tm.data_tones
-        sigma_n2 = NoiseModel.from_ebn0_db(20.0, 1 / 3, 2).sigma_n2
+        sigma_n2 = noise_var(20.0, 1 / 3, 2)
         rx_cfg = ReceiverConfig(sigma_w2=effective_noise_var(sigma_n2, 0.1))
         cell = 2 * np.pi / 10
         ok_coarse = 0
@@ -661,7 +706,7 @@ class TestParticleMStep:
                 r, np.ones(len(data), complex), np.ones(len(data), complex), post, con
             )
             coarse = particle_m_step(obj, np.zeros(2), rx_cfg)
-            fine = particle_m_step(obj, coarse, rx_cfg, center=coarse, span=2 * cell)
+            fine = particle_m_step(obj, coarse, rx_cfg, span=2 * cell)
             if obj.value(fine[0], fine[1]) < obj.value(coarse[0], coarse[1]):
                 fine = coarse
             err_c = np.max(np.abs(np.angle(np.exp(1j * (coarse - truth)))))
@@ -714,7 +759,7 @@ class TestEmBpReceive:
         fa = transmit_frame(ra_encode(info_a, ra), cfg, tm, con, "a")
         fb = transmit_frame(ra_encode(info_b, ra), cfg, tm, con, "b")
         chan = sample_selective(4, 1.0, rng, tau=tau, cfo_a=cfo[0], cfo_b=cfo[1])
-        samples = simulate_uplink(fa, fb, chan, NoiseModel(sigma_n2), rng, cfg)
+        samples = simulate_uplink(fa, fb, chan, sigma_n2, rng, cfg)
         freq = demodulate(samples, cfg)
         rx_cfg = ReceiverConfig(
             sigma_w2=effective_noise_var(sigma_n2, max(abs(cfo[0]), abs(cfo[1])) * 2),
