@@ -44,10 +44,10 @@ class ChannelRealization:
         ramp = np.exp(-2j * np.pi * np.arange(n_fft) * self.relative_delay / n_fft)
         self.h_freq_b = np.fft.fft(self.taps_b, n=n_fft) * ramp
 
-    def delay_spread_ok(self) -> bool:
-        """Whether the delays stay within the cyclic prefix."""
-        la, lb = len(self.taps_a), len(self.taps_b)
-        return max(la - 1, self.relative_delay + lb - 1) <= FrameConfig.n_cp
+
+def max_delay(n_taps: int) -> int:
+    """Largest relative delay keeping n_taps taps per node inside the CP (< 0: none)."""
+    return FrameConfig.n_cp + 1 - n_taps
 
 
 def noise_var(ebn0_db: float, code_rate: float, bits_per_symbol: int) -> float:
@@ -134,7 +134,7 @@ def simulate_uplink(
         raise ValueError("frames must be m_symbols * n_s samples long")
     if sigma_n2 < 0:
         raise ValueError("noise variance must be nonnegative")
-    if not chan.delay_spread_ok():
+    if max_delay(len(chan.taps_a)) < 0 or chan.relative_delay > max_delay(len(chan.taps_b)):
         raise ValueError("delay spread exceeds the cyclic prefix")
     n = np.arange(n_total)
     sig_a = np.convolve(frame_a, chan.taps_a)[:n_total]

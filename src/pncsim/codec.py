@@ -88,6 +88,11 @@ class PairPosterior:
     pair_bit: np.ndarray  # (k_info, 4)
 
 
+def _same_messages(a: np.ndarray, b: np.ndarray) -> bool:
+    probe = (a.item(0), a.item(-1)) == (b.item(0), b.item(-1))  # node A's first, B's last
+    return probe and a.tobytes() == b.tobytes()
+
+
 def _clip(llr: np.ndarray, out=None) -> np.ndarray:
     # the two ufuncs are what np.clip computes, without its dispatch layers
     return np.minimum(np.maximum(llr, -_LLR_MAX, out=out), _LLR_MAX, out=out)
@@ -187,14 +192,14 @@ class JointPairDecoder:
         k = self.ra.k_info
         n = self.ra.n_coded
         bins = self.info_of_check.reshape(-1)
-        # variable-to-check inputs (in_prev, in_cur, in_info) and check-to-
-        # variable outputs (to_prev, to_cur, to_info) of both chains, each
-        # stacked into one (3, 2, n) buffer so the boxplus runs as one
-        # tanh, three products and one arctanh over all three
+        # variable-to-check inputs (in_prev, in_cur, in_info) and check-to-variable outputs
+        # (to_prev, to_cur, to_info) of both chains, each stacked into one (3, 2, n) buffer so
+        # the boxplus runs as one tanh, three products and one arctanh over all three.  The
+        # next iteration depends on the outputs alone, so BP stops once two in a row are equal.
         ins = np.empty((3, 2, n))
         in_prev, in_cur, in_info = ins  # check t's inputs from c_{t-1}, c_t, its info bit
-        outs = np.zeros((3, 2, n))
-        to_prev, to_cur, to_info = outs  # to_prev[:, 0] is unused
+        cur, old = [(b, *b) for b in (np.zeros((3, 2, n)), np.empty((3, 2, n)))]
+        outs, to_prev, to_cur, to_info = cur  # to_prev[:, 0] is unused
         tanhs = np.empty((3, 2, n))
         t_prev, t_cur, t_info = tanhs
         v2e = np.zeros((2, n))  # code-side extrinsic LLR of each coded bit
@@ -213,11 +218,15 @@ class JointPairDecoder:
                 # check-node boxplus, each input's tanh taken once
                 np.multiply(ins, 0.5, out=tanhs)
                 np.tanh(tanhs, out=tanhs)
+                cur, old = old, cur
+                outs, to_prev, to_cur, to_info = cur
                 np.multiply(t_cur, t_info, out=to_prev)
                 np.multiply(t_prev, t_info, out=to_cur)
                 np.multiply(t_prev, t_cur, out=to_info)
                 np.arctanh(outs, out=outs)
                 outs *= 2.0
+                if _same_messages(outs, old[0]):
+                    break
                 np.add(to_cur[:, :-1], to_prev[:, 1:], out=v2e[:, :-1])
                 v2e[:, -1] = to_cur[:, -1]
             # beliefs with the final messages

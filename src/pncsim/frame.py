@@ -34,7 +34,6 @@ class Constellation:
     Gray labeling with 00 -> (1+1j)/sqrt(2).
     """
 
-    name: str
     points: np.ndarray
     bits_per_symbol: int
 
@@ -46,12 +45,12 @@ class Constellation:
 def make_constellation(modulation: str) -> Constellation:
     if modulation == BPSK:
         points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-        return Constellation(BPSK, points, bits_per_symbol=1)
+        return Constellation(points, bits_per_symbol=1)
     if modulation == QPSK:
         s = 1.0 / np.sqrt(2.0)
         # index = 2*b0 + b1, point = ((1-2*b0) + 1j*(1-2*b1))/sqrt(2)
         points = np.array([s + 1j * s, s - 1j * s, -s + 1j * s, -s - 1j * s])
-        return Constellation(QPSK, points, bits_per_symbol=2)
+        return Constellation(points, bits_per_symbol=2)
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
@@ -150,14 +149,10 @@ class FrameConfig:
         """Time-domain samples per OFDM symbol including the cyclic prefix."""
         return self.n_cp + self.n_fft
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return 1 if self.modulation == BPSK else 2
-
-    @property
+    @cached_property
     def n_coded_bits(self) -> int:
         """Coded bits per node per frame (exactly fills the data tones)."""
-        return self.n_data * self.m_symbols * self.bits_per_symbol
+        return self.n_data * self.m_symbols * self.constellation().bits_per_symbol
 
     @property
     def k_info(self) -> int:
@@ -171,7 +166,7 @@ class FrameConfig:
         return make_constellation(self.modulation)
 
 
-def default_config(modulation: str, m_symbols: int, em_iters: int) -> FrameConfig:
+def default_config(modulation: str, m_symbols: int, em_iters: int = 0) -> FrameConfig:
     """Frame configuration with the standard 64-tone numerology."""
     return FrameConfig(m_symbols=m_symbols, modulation=modulation, em_outer_iters=em_iters)
 

@@ -62,7 +62,6 @@ class ExperimentConfig:
     particle_l: int = _ini("receiver", rx_mod.ReceiverConfig.particle_l)
     particle_shrink: float = _ini("receiver", rx_mod.ReceiverConfig.particle_shrink)
     em_refine_passes: int = _ini("receiver", rx_mod.ReceiverConfig.em_refine_passes)
-    sigma_w2_override: float | None = _ini("receiver", None, key="sigma_w2", none="auto")
     noiseless: bool = _ini("run", False)
     master_seed: int = _ini("run", 1)
     output_path: str = _ini("run", "result.csv", key="out")
@@ -87,13 +86,13 @@ class ExperimentConfig:
             raise ValueError("decay must be finite and >= 0")
         if self.channel_kind not in ("flat", "selective"):
             raise ValueError(f"unknown channel kind {self.channel_kind!r}")
-        frame_cfg = frame_mod.default_config(self.modulation, self.m_symbols, 0)
-        # node B's delayed taps must end inside the cyclic prefix
-        taps = self.taps
-        if not 1 <= taps <= frame_cfg.n_cp + 1:
-            raise ValueError(f"taps must lie in [1, {frame_cfg.n_cp + 1}]")
-        if self.tau is not None and not 0 <= self.tau <= frame_cfg.n_cp + 1 - taps:
-            raise ValueError(f"tau must lie in [0, {frame_cfg.n_cp + 1 - taps}] for {taps} taps")
+        frame_cfg = frame_mod.default_config(self.modulation, self.m_symbols)
+        # node B's delayed taps must end inside the cyclic prefix, whatever the kind
+        if self.n_taps < 1 or chan_mod.max_delay(self.n_taps) < 0:
+            raise ValueError(f"taps must lie in [1, {chan_mod.max_delay(1) + 1}]")
+        tau_max = chan_mod.max_delay(self.taps)
+        if self.tau is not None and not 0 <= self.tau <= tau_max:
+            raise ValueError(f"tau must lie in [0, {tau_max}] for {self.taps} taps")
         bad = set(self.receivers) - {"baseline", "em_bp"}
         if bad:
             raise ValueError(f"unknown receivers {sorted(bad)}")
@@ -110,7 +109,7 @@ class ExperimentConfig:
                 sigma_n2 = np.inf
             if not sigma_n2 < np.inf:
                 raise ValueError(f"snr_db = {snr_db}: noise out of range")
-        self.receiver_config(sigma_n2=0.0)  # bp/particle/refine/sigma_w2 checks
+        self.receiver_config(sigma_n2=0.0)  # bp/particle/refine checks
 
     @property
     def taps(self) -> int:
@@ -128,11 +127,8 @@ class ExperimentConfig:
 
     def receiver_config(self, sigma_n2: float) -> rx_mod.ReceiverConfig:
         """Receiver tunables for one SNR point, run to the largest reported K."""
-        sigma_w2 = self.sigma_w2_override
-        if sigma_w2 is None:
-            sigma_w2 = rx_mod.effective_noise_var(sigma_n2, self.delta)
         return rx_mod.ReceiverConfig(
-            sigma_w2=sigma_w2,
+            sigma_w2=rx_mod.effective_noise_var(sigma_n2, self.delta),
             em_iters=max(k for _, k in self.reported()),
             **{name: getattr(self, name) for name in _RX_TUNABLES},
         )
@@ -160,7 +156,6 @@ class ResultRow:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     rows: list[ResultRow] = field(default_factory=list)
 
     def row(self, receiver: str, em_iters: int, snr_db: float) -> ResultRow:
@@ -213,7 +208,7 @@ class _TrialContext:
 
 def _make_context(cfg: ExperimentConfig) -> _TrialContext:
     ks = tuple(k for _, k in cfg.reported())
-    frame_cfg = frame_mod.default_config(cfg.modulation, cfg.m_symbols, max(ks))
+    frame_cfg = frame_mod.default_config(cfg.modulation, cfg.m_symbols)
     ra_code = RaCode.build(frame_cfg.k_info, cfg.interleaver_seed)
     sigma_n2 = tuple(_sigma_n2_for(cfg, frame_cfg, snr_db) for snr_db in cfg.snr_db_list)
     return _TrialContext(
@@ -236,7 +231,7 @@ def run_single_trial(ctx: _TrialContext, snr_idx: int, trial_idx: int) -> TrialM
     )
     tau = cfg.tau
     if tau is None:
-        tau = int(rng.integers(0, fc.n_cp - cfg.taps + 2))
+        tau = int(rng.integers(0, chan_mod.max_delay(cfg.taps) + 1))
     cfo_a = cfo_b = 0.0
     if cfg.delta > 0:
         cfo_a, cfo_b = rng.uniform(-cfg.delta / 2, cfg.delta / 2, size=2)
@@ -298,7 +293,8 @@ def _worker_trials(snr_idx, stop) -> list[tuple[int, TrialMetrics]]:
 def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_db: float) -> float:
     if cfg.noiseless:
         return 0.0
-    return chan_mod.noise_var(snr_db, 1.0 / frame_cfg.code_rate_inv, frame_cfg.bits_per_symbol)
+    bits_per_symbol = frame_cfg.constellation().bits_per_symbol
+    return chan_mod.noise_var(snr_db, 1.0 / frame_cfg.code_rate_inv, bits_per_symbol)
 
 
 @contextlib.contextmanager
@@ -344,7 +340,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     call, and sums the results in trial order."""
     reported = cfg.reported()
     n_rep = len(reported)
-    result = ExperimentResult(config=cfg)
+    result = ExperimentResult()
     with trial_runner(cfg) as (ctx, run):
         k_info = ctx.frame_cfg.k_info
         for snr_idx, snr_db in enumerate(cfg.snr_db_list):

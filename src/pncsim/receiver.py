@@ -32,8 +32,8 @@ _SIGMA_W2_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    """Tunables of the relay receiver; each shares its name with its INI key,
-    except em_iters, the largest reported EM iteration count."""
+    """Tunables of the relay receiver; each shares its name with its INI key
+    but sigma_w2, set per SNR point, and em_iters, the largest reported K."""
 
     sigma_w2: float
     em_iters: int = 0

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
 
+from pncsim import codec
+from pncsim.channel import noise_var, phase_trajectory, sample_flat, simulate_uplink
 from pncsim.codec import JointPairDecoder, PairEvidence, RaCode, ra_encode
-from pncsim.frame import BPSK, QPSK, FrameConfig, make_constellation, map_bits
-from pncsim.receiver import pnc_map
+from pncsim.frame import BPSK, QPSK, FrameConfig, make_constellation, map_bits, transmit_frame
+from pncsim.receiver import demodulate, effective_noise_var, pair_evidence, pnc_map
 
 
 def oracle_encode(info_bits, interleaver):
@@ -422,3 +424,46 @@ class TestMatchesReferenceDecoder:
         np.testing.assert_allclose(post.pair_bit, ref_bit, rtol=0, atol=1e-10)
         np.testing.assert_allclose(post.pair_symbol, ref_symbol, rtol=0, atol=1e-10)
         np.testing.assert_array_equal(pnc_map(post.pair_bit), pnc_map(ref_bit))
+
+
+def flat_frame_evidence(mod, ebn0_db, seed):
+    """Decoder and pair evidence of one flat-fading frame pair at the true phases."""
+    cfg = FrameConfig(m_symbols=10, modulation=mod)
+    con, tm = cfg.constellation(), cfg.tone_map()
+    ra = RaCode.build(cfg.k_info, seed=8)
+    rng = np.random.default_rng(seed)
+    frames = [
+        transmit_frame(ra_encode(rng.integers(0, 2, cfg.k_info), ra), cfg, tm, con, node)
+        for node in "ab"
+    ]
+    chan = sample_flat(rng, tau=3, cfo_a=0.02, cfo_b=-0.03)
+    sigma_n2 = noise_var(ebn0_db, 1 / cfg.code_rate_inv, con.bits_per_symbol)
+    r = demodulate(simulate_uplink(*frames, chan, sigma_n2, rng, cfg), cfg)
+    theta, sigma_w2 = phase_trajectory(chan, cfg), effective_noise_var(sigma_n2, 0.1)
+    return JointPairDecoder(ra, con), pair_evidence(r, chan, tm, con, theta, sigma_w2)
+
+
+class TestFixedPointExit:
+    """BP stops once an iteration repeats the last one's check outputs, and
+    its posteriors are bit for bit those of all 20 iterations."""
+
+    @pytest.mark.parametrize("ebn0_db, converges", [(30.0, True), (0.0, False)])
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    def test_exit_keeps_posteriors(self, monkeypatch, mod, ebn0_db, converges):
+        decoder, ev = flat_frame_evidence(mod, ebn0_db, seed=2)
+        same, matches = codec._same_messages, []
+
+        def recorded(a, b):
+            matches.append(same(a, b))
+            return matches[-1]
+
+        monkeypatch.setattr(codec, "_same_messages", recorded)
+        post = decoder.decode(ev, 20)
+        if converges:  # it stopped early, at its first match
+            assert len(matches) < 20 and matches.index(True) == len(matches) - 1
+        else:
+            assert matches == [False] * 20
+        monkeypatch.setattr(codec, "_same_messages", lambda a, b: False)
+        full = decoder.decode(ev, 20)
+        assert post.pair_bit.tobytes() == full.pair_bit.tobytes()
+        assert post.pair_symbol.tobytes() == full.pair_symbol.tobytes()

@@ -45,7 +45,7 @@ class TestDefaultConfig:
     def test_coded_bits_fill_data_tones(self):
         for mod, m in ((BPSK, 3), (QPSK, 10)):
             cfg = default_config(mod, m, 1)
-            assert cfg.n_coded_bits == cfg.n_data * m * cfg.bits_per_symbol
+            assert cfg.n_coded_bits == cfg.n_data * m * cfg.constellation().bits_per_symbol
             assert cfg.k_info * 3 == cfg.n_coded_bits
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pncsim import cli, harness
+from pncsim import channel, cli, harness
+from pncsim.frame import FrameConfig, default_config
 from pncsim.harness import (
     _INI_KEYS,
     CSV_COLUMNS,
@@ -103,6 +104,47 @@ def _tiny_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+class _Drawn(Exception):
+    """Ends a trial once its channel is drawn."""
+
+
+@pytest.mark.parametrize("taps", range(1, FrameConfig.n_cp + 2))
+def test_cp_delay_rule_is_shared(tmp_path, monkeypatch, taps):
+    """The config check, the random draw and the uplink accept the same
+    delays: node B's last tap may reach the last CP sample, no further."""
+    tau_max = FrameConfig.n_cp + 1 - taps
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[channel]\nkind = selective\ntaps = {taps}\ntau = {tau_max}\n")
+    assert load_config(path).tau == tau_max
+    path.write_text(f"[channel]\nkind = selective\ntaps = {taps}\ntau = {tau_max + 1}\n")
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg: pytest.fail("ran trials"))
+    assert cli.main(["run", str(path)]) == 2
+
+    fc = default_config("qpsk", 1)
+    frame = np.zeros(fc.m_symbols * fc.n_s, dtype=complex)
+    rng = np.random.default_rng(taps)
+    for tau in range(tau_max + 2):
+        chan = channel.sample_selective(taps, 0.5, rng, tau)
+        if tau <= tau_max:
+            channel.simulate_uplink(frame, frame, chan, 0.1, rng, fc)
+        else:
+            with pytest.raises(ValueError, match="cyclic prefix"):
+                channel.simulate_uplink(frame, frame, chan, 0.1, rng, fc)
+
+    drawn = []
+
+    def record(n_taps, decay, rng, tau, *cfo):
+        drawn.append(tau)
+        raise _Drawn
+
+    monkeypatch.setattr(channel, "sample_selective", record)
+    ctx = harness._make_context(_tiny_config(channel_kind="selective", n_taps=taps, tau=None))
+    for trial_idx in range(300):
+        with pytest.raises(_Drawn):
+            harness.run_single_trial(ctx, 0, trial_idx)
+    assert set(drawn) == set(range(tau_max + 1))
 
 
 class TestRunExperiment:
@@ -408,7 +450,7 @@ class TestCsv:
         such as the SNR of a config built in code."""
         row = harness.ResultRow("baseline", 0, 8, 0, 0.5, 0.25, 10, 1, 2)
         path = tmp_path / "out.csv"
-        emit_csv(harness.ExperimentResult(ExperimentConfig(), [row]), path)
+        emit_csv(harness.ExperimentResult([row]), path)
         assert path.read_text().splitlines()[1] == "baseline,0,8.0,0.0,0.5,0.25,10,1,2.0"
         assert parse_csv(path) == [row]
 
@@ -473,8 +515,8 @@ class TestConfigFileAndCli:
 
     def test_every_ini_key_reaches_its_field(self, tmp_path):
         """One file sets every key to a non-default value; modulation and
-        kind are lowercased, out keeps its case, and the sentinel words
-        random and auto give way to values."""
+        kind are lowercased, out keeps its case, and the sentinel word
+        random gives way to a value."""
         out = tmp_path / "Runs" / "Flat.CSV"
         path = tmp_path / "exp.ini"
         path.write_text(
@@ -483,7 +525,7 @@ class TestConfigFileAndCli:
             "[channel]\nkind = Selective\ntaps = 3\ndecay = 0.5\ndelta = 0.05\ntau = 3\n"
             "[receiver]\nreceivers = em_bp\nem_bp_k = 2, 5\nbp_iters = 12\n"
             "particle_rounds = 2\nparticle_l = 6\nparticle_shrink = 0.2\n"
-            "em_refine_passes = 1\nsigma_w2 = 0.5\n"
+            "em_refine_passes = 1\n"
             "[run]\nsnr_db = 5, 9.5\ntrials_per_snr = 40\nmin_errors = 7\nmin_frames = 3\n"
             f"noiseless = yes\nmaster_seed = 99\nout = {out}\njobs = 3\n"
         )
@@ -509,7 +551,6 @@ class TestConfigFileAndCli:
             particle_l=6,
             particle_shrink=0.2,
             em_refine_passes=1,
-            sigma_w2_override=0.5,
             noiseless=True,
             master_seed=99,
             output_path=str(out),
@@ -548,6 +589,8 @@ class TestConfigFileAndCli:
             ("[run]\nsnr_db =\n", [], None),
             ("[channel]\ntau = 40\n", [], None),
             ("[channel]\nkind = selective\ntaps = 20\n", [], None),
+            ("[channel]\nkind = flat\ntaps = -3\n", [], "taps"),
+            ("[channel]\nkind = flat\ntaps = 18\n", [], "taps"),
             ("[run]\nsnr_db = nan\n", [], None),
             ("[frame]\nmodulation = 16qam\n", [], None),
             ("[receiver]\nbp_iters = 0\n", [], "bp_iters"),
@@ -578,7 +621,8 @@ class TestConfigFileAndCli:
             ("[run]\n", ["--out", "."], "is a directory"),
         ],
         ids=[
-            "empty-snr", "tau-past-cp", "taps-past-cp", "snr-nan", "modulation",
+            "empty-snr", "tau-past-cp", "taps-past-cp", "flat-taps-negative",
+            "flat-taps-past-cp", "snr-nan", "modulation",
             "bp-iters", "particle-l", "particle-shrink", "particle-rounds", "sigma-w2",
             "refine-passes", "removed-key",
             "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
@@ -610,7 +654,7 @@ class TestConfigFileAndCli:
         assert fields == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
         # each receiver tunable has one name, from the INI key to ReceiverConfig
         ini_keys = {key for _, key in _INI_KEYS}
-        rx_fields = {f.name for f in dataclasses.fields(ReceiverConfig)} - {"em_iters"}
+        rx_fields = {f.name for f in dataclasses.fields(ReceiverConfig)} - {"em_iters", "sigma_w2"}
         assert rx_fields <= ini_keys
         readme = (ROOT / "README.md").read_text()
         path = tmp_path / "experiment.ini"
