@@ -56,36 +56,28 @@ def make_constellation(modulation: str) -> Constellation:
 
 @dataclass(frozen=True, eq=False)
 class ToneMap:
-    """Partition of the ``FrameConfig.n_fft`` DFT bins into data, per-node pilot and zero tones.
+    """Data tones and each node's pilot tones among the ``FrameConfig.n_fft`` DFT bins.
 
-    ``pilot_values_a``/``pilot_values_b`` are the known unit-magnitude
-    symbols a node transmits on its own pilot tones; they are constant
-    across OFDM symbols (all +1).
+    A node sends the known pilot symbol +1 on its own pilot tones in every
+    OFDM symbol and nothing on the other node's; every bin in none of the
+    three sets is a null tone.  A custom per-node pilot split is just
+    another choice of the three sets.
     """
 
     data_tones: np.ndarray
     pilot_tones_a: np.ndarray
     pilot_tones_b: np.ndarray
-    zero_tones: np.ndarray
-    pilot_values_a: np.ndarray
-    pilot_values_b: np.ndarray
 
     def __post_init__(self):
-        sets = [
-            set(self.data_tones.tolist()),
-            set(self.pilot_tones_a.tolist()),
-            set(self.pilot_tones_b.tolist()),
-            set(self.zero_tones.tolist()),
-        ]
-        total = sum(len(s) for s in sets)
-        union = set().union(*sets)
-        if total != FrameConfig.n_fft or union != set(range(FrameConfig.n_fft)):
-            raise ValueError("tone sets must partition the DFT bins")
-        if sets[1] & sets[2]:
-            raise ValueError("pilot tone sets of the two nodes must be disjoint")
-        for vals in (self.pilot_values_a, self.pilot_values_b):
-            if not np.allclose(np.abs(vals), 1.0, atol=1e-12):
-                raise ValueError("pilot values must have unit magnitude")
+        tones = np.concatenate([self.data_tones, self.pilot_tones_a, self.pilot_tones_b]).tolist()
+        if len(set(tones)) < len(tones) or not all(0 <= k < FrameConfig.n_fft for k in tones):
+            raise ValueError(f"tone sets must be distinct bins in [0, {FrameConfig.n_fft})")
+
+    @property
+    def zero_tones(self) -> np.ndarray:
+        """The bins in none of the three sets: DC and the guard band in the default map."""
+        used = np.concatenate([self.data_tones, self.pilot_tones_a, self.pilot_tones_b])
+        return np.setdiff1d(np.arange(FrameConfig.n_fft), used)
 
     @property
     def n_data(self) -> int:
@@ -94,22 +86,10 @@ class ToneMap:
 
 def default_tone_map() -> ToneMap:
     """Build the 802.11a-style tone map of the FrameConfig.n_fft = 64 tone frame."""
-    n_fft = FrameConfig.n_fft
-    active = [k for k in range(-26, 27) if k != 0]
-    pilots = set(_PILOT_TONES_A) | set(_PILOT_TONES_B)
-    data = np.array([k % n_fft for k in active if k not in pilots])
-    pilot_a = np.array([k % n_fft for k in _PILOT_TONES_A])
-    pilot_b = np.array([k % n_fft for k in _PILOT_TONES_B])
-    used = set(data.tolist()) | set(pilot_a.tolist()) | set(pilot_b.tolist())
-    zero = np.array(sorted(set(range(n_fft)) - used))
-    return ToneMap(
-        data_tones=data,
-        pilot_tones_a=pilot_a,
-        pilot_tones_b=pilot_b,
-        zero_tones=zero,
-        pilot_values_a=np.ones(len(pilot_a), dtype=complex),
-        pilot_values_b=np.ones(len(pilot_b), dtype=complex),
-    )
+    bins = lambda tones: np.array([k % FrameConfig.n_fft for k in tones])
+    pilots = _PILOT_TONES_A + _PILOT_TONES_B
+    data = [k for k in range(-26, 27) if k != 0 and k not in pilots]
+    return ToneMap(bins(data), bins(_PILOT_TONES_A), bins(_PILOT_TONES_B))
 
 
 @dataclass(frozen=True)
@@ -192,16 +172,13 @@ def demap_bits(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
 
 
 def build_payload_grid(data_symbols: np.ndarray, tone_map: ToneMap, node: str) -> np.ndarray:
-    """Place one node's data symbols and pilots onto the (M, N) tone grid."""
+    """Place one node's data symbols and its +1 pilots onto the (M, N) tone grid."""
+    if node not in ("a", "b"):
+        raise ValueError("node must be 'a' or 'b'")
     data_symbols = np.asarray(data_symbols).reshape(-1, tone_map.n_data)
     grid = np.zeros((len(data_symbols), FrameConfig.n_fft), dtype=complex)
     grid[:, tone_map.data_tones] = data_symbols
-    if node == "a":
-        grid[:, tone_map.pilot_tones_a] = tone_map.pilot_values_a
-    elif node == "b":
-        grid[:, tone_map.pilot_tones_b] = tone_map.pilot_values_b
-    else:
-        raise ValueError("node must be 'a' or 'b'")
+    grid[:, tone_map.pilot_tones_a if node == "a" else tone_map.pilot_tones_b] = 1.0
     return grid
 
 

@@ -103,18 +103,15 @@ def ls_pilot_phase(
     """Least-squares pilot correlation phases, independently per node and symbol.
 
     Returns the (m_symbols, 2) phase pairs of the demodulated frame ``r`` in
-    [0, 2pi), column 0 = node A.  The correlation reference is the known
-    pilot symbol times the known channel, so the angle is the phase drift
-    alone.  A zero-magnitude correlation falls back to the previous symbol's
-    estimate (0 for the first symbol).
+    [0, 2pi), column 0 = node A.  The pilot symbol is +1, so the correlation
+    reference is the known channel on the node's pilot tones and the angle
+    is the phase drift alone.  A zero-magnitude correlation falls back to
+    the previous symbol's estimate (0 for the first symbol).
     """
     theta = np.empty((r.shape[0], 2))
-    refs = (
-        (tone_map.pilot_tones_a, tone_map.pilot_values_a, h_a),
-        (tone_map.pilot_tones_b, tone_map.pilot_values_b, h_b),
-    )
-    for col, (tones, values, h) in enumerate(refs):
-        corr = r[:, tones] @ np.conj(values * h[tones])
+    refs = ((tone_map.pilot_tones_a, h_a), (tone_map.pilot_tones_b, h_b))
+    for col, (tones, h) in enumerate(refs):
+        corr = r[:, tones] @ np.conj(h[tones])
         theta[:, col] = np.angle(corr)
         for m in np.flatnonzero(corr == 0):  # in order, so a run carries one estimate
             warnings.warn("zero pilot correlation; reusing previous phase estimate")
@@ -161,12 +158,16 @@ class PhaseObjective:
     value(theta_a, theta_b) returns the negative expected squared residual
     of each symbol's received occupied tones against the phase-rotated
     hypothesis: data tones averaged over the decoder's joint symbol
-    posterior, pilot tones against their known symbols (the other node is
-    silent there).  Larger is better; exactly 0 only for a perfect noiseless
-    fit.  The sums over tones and symbol pairs are folded into four
-    sufficient statistics c0, s_a, s_b, s_ab, so evaluation is O(1) per
-    phase pair.  They are (M,) arrays for (M, N_d) data tones with an
-    (M, N_d, Q^2) posterior, and scalars for one symbol's (N_d,) row.
+    posterior, and each node's pilot tones against the known +1 that node
+    sends on its own pilot tones (the other node sends nothing on them).
+    ``pilot_a``/``pilot_b`` are (r_p, h_p) pairs of the received pilot
+    tones and the node's channel there, taken from a ``ToneMap``, so a
+    custom per-node pilot split is a three-field ``ToneMap``.  Larger is
+    better; exactly 0 only for a perfect noiseless fit.  The sums over
+    tones and symbol pairs are folded into four sufficient statistics c0,
+    s_a, s_b, s_ab, so evaluation is O(1) per phase pair.  They are (M,)
+    arrays for (M, N_d) data tones with an (M, N_d, Q^2) posterior, and
+    scalars for one symbol's (N_d,) row.
     """
 
     def __init__(
@@ -176,8 +177,8 @@ class PhaseObjective:
         h_b_data: np.ndarray,
         posterior: np.ndarray,
         constellation: Constellation,
-        pilot_a: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        pilot_b: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        pilot_a: tuple[np.ndarray, np.ndarray] | None = None,
+        pilot_b: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         # One real matmul gives each tone's posterior means of |X_a|^2,
         # |X_b|^2, X_a, X_b and X_a conj(X_b); one weighted sum over the tones
@@ -190,13 +191,12 @@ class PhaseObjective:
         means[..., 2:4] *= np.conj(r_data)[..., None]
         stats = (means * pair(h_a_data, h_b_data)).sum(axis=-2)
         self.c0 = (np.abs(r_data) ** 2).sum(axis=-1) + stats[..., 0].real + stats[..., 1].real
-        # pilot tones: known symbol for the owner, silence from the other
+        # pilot tones: the owner's +1 through its channel, silence from the other
         for col, pilot in ((2, pilot_a), (3, pilot_b)):
             if pilot is not None:
-                r_p, h_p, vals = pilot
-                ref = vals * h_p
-                self.c0 += (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(ref) ** 2).sum()
-                stats[..., col] += np.conj(r_p) @ ref
+                r_p, h_p = pilot
+                self.c0 += (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
+                stats[..., col] += np.conj(r_p) @ h_p
         self.s_a, self.s_b, self.s_ab = stats[..., 2], stats[..., 3], stats[..., 4]
 
     def value(self, theta_a, theta_b):
@@ -216,11 +216,14 @@ def build_phase_objective(
     posterior: np.ndarray,
 ) -> PhaseObjective:
     """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, or
-    for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors."""
+    for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors:
+    each node sends the known +1 on its own ``tone_map`` pilot tones and
+    nothing on the other node's, so any per-node pilot split, a three-field
+    ``ToneMap``, anchors the phases the same way."""
     data = tone_map.data_tones
     pa, pb = tone_map.pilot_tones_a, tone_map.pilot_tones_b
-    pilot_a = (r[..., pa], chan.h_freq_a[pa], tone_map.pilot_values_a)
-    pilot_b = (r[..., pb], chan.h_freq_b[pb], tone_map.pilot_values_b)
+    pilot_a = (r[..., pa], chan.h_freq_a[pa])
+    pilot_b = (r[..., pb], chan.h_freq_b[pb])
     h_a, h_b = chan.h_freq_a[data], chan.h_freq_b[data]
     return PhaseObjective(r[..., data], h_a, h_b, posterior, constellation, pilot_a, pilot_b)
 

@@ -9,6 +9,7 @@ from pncsim.frame import (
     BPSK,
     QPSK,
     FrameConfig,
+    ToneMap,
     default_config,
     default_tone_map,
     demap_bits,
@@ -76,10 +77,22 @@ class TestToneMap:
         for k in list(range(27, 32)) + [-32] + list(range(-31, -26)):
             assert k % 64 in zeros
 
-    def test_pilot_values_unit_magnitude(self):
+    def test_rejects_shared_or_out_of_range_bins_and_unknown_node(self):
+        """The three sets must be distinct bins in [0, 64): a data tone reused
+        as a pilot, a pilot shared by both nodes and bins 64 and -1 are
+        refused; and only nodes "a" and "b" send a payload grid."""
         tm = default_tone_map()
-        np.testing.assert_allclose(np.abs(tm.pilot_values_a), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.abs(tm.pilot_values_b), 1.0, atol=1e-12)
+        with pytest.raises(ValueError, match="node must be"):
+            build_payload_grid(np.ones(tm.n_data), tm, "c")
+        data, pa, pb = tm.data_tones, tm.pilot_tones_a, tm.pilot_tones_b
+        for sets in (
+            (data, np.append(pa, data[0]), pb),  # data/pilot overlap
+            (data, pa, np.append(pb, pa[0])),  # A/B pilot overlap
+            (data, pa, np.append(pb, 64)),  # outside [0, 64)
+            (data, np.append(pa, -1), pb),
+        ):
+            with pytest.raises(ValueError, match="distinct bins"):
+                ToneMap(*sets)
 
 
 class TestConstellation:
