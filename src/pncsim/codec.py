@@ -86,11 +86,21 @@ class PairPosterior:
 
     pair_symbol: np.ndarray  # (n_symbols, Q*Q)
     pair_bit: np.ndarray  # (k_info, 4)
+    # the final check outputs (to_prev, to_cur, to_info), (3, 2, n); the
+    # ``start`` of a later decode of nearby evidence
+    messages: np.ndarray
 
 
 def _same_messages(a: np.ndarray, b: np.ndarray) -> bool:
     probe = (a.item(0), a.item(-1)) == (b.item(0), b.item(-1))  # node A's first, B's last
     return probe and a.tobytes() == b.tobytes()
+
+
+def _extrinsic(to_prev: np.ndarray, to_cur: np.ndarray) -> np.ndarray:
+    """Code-side extrinsic LLR of each coded bit, (2, n): c_t hears checks t and t + 1."""
+    v2e = to_cur.copy()
+    v2e[:, :-1] += to_prev[:, 1:]
+    return v2e
 
 
 def _clip(llr: np.ndarray, out=None) -> np.ndarray:
@@ -112,7 +122,8 @@ class JointPairDecoder:
     dropped, and the log-prior becomes one matmul of the incoming LLRs with
     a fixed 0/1 matrix.  A decoder instance holds only static structure
     (interleaver layout and bit labelings); ``decode`` is a pure function of
-    the evidence, so one instance may be reused across frames.
+    the evidence and the start messages, so one instance may be reused
+    across frames.
     """
 
     def __init__(self, ra_code: RaCode, constellation: Constellation):
@@ -173,7 +184,15 @@ class JointPairDecoder:
         llrs = llrs.reshape(2, b, -1).transpose(0, 2, 1).reshape(2, -1)
         return _clip(llrs, out=llrs)
 
-    def decode(self, evidence: PairEvidence, inner_iters: int) -> PairPosterior:
+    def decode(
+        self, evidence: PairEvidence, inner_iters: int, start: np.ndarray | None = None
+    ) -> PairPosterior:
+        """Run up to ``inner_iters`` flooding iterations on ``evidence``.
+
+        ``start`` holds the check outputs (to_prev, to_cur, to_info) the first
+        iteration reads, as ``PairPosterior.messages`` returns them, (3, 2, n);
+        None starts from zero messages.  It is copied, never written.
+        """
         if inner_iters < 1:
             raise ValueError("inner_iters must be >= 1")
         tables = np.asarray(evidence.tables, dtype=float)
@@ -191,6 +210,10 @@ class JointPairDecoder:
             )
         k = self.ra.k_info
         n = self.ra.n_coded
+        if start is None:
+            start = np.zeros((3, 2, n))
+        elif np.shape(start) != (3, 2, n):
+            raise ValueError(f"start messages must have shape (3, 2, {n}), got {np.shape(start)}")
         bins = self.info_of_check.reshape(-1)
         # variable-to-check inputs (in_prev, in_cur, in_info) and check-to-variable outputs
         # (to_prev, to_cur, to_info) of both chains, each stacked into one (3, 2, n) buffer so
@@ -198,15 +221,15 @@ class JointPairDecoder:
         # next iteration depends on the outputs alone, so BP stops once two in a row are equal.
         ins = np.empty((3, 2, n))
         in_prev, in_cur, in_info = ins  # check t's inputs from c_{t-1}, c_t, its info bit
-        cur, old = [(b, *b) for b in (np.zeros((3, 2, n)), np.empty((3, 2, n)))]
+        cur, old = [(b, *b) for b in (np.array(start, dtype=float), np.empty((3, 2, n)))]
         outs, to_prev, to_cur, to_info = cur  # to_prev[:, 0] is unused
         tanhs = np.empty((3, 2, n))
         t_prev, t_cur, t_info = tanhs
-        v2e = np.zeros((2, n))  # code-side extrinsic LLR of each coded bit
         with np.errstate(divide="ignore"):
             # symbol-minor: per-symbol max and sums reduce over axis 0, vectorised across symbols
             log_tables = np.log(np.ascontiguousarray(tables.T))
             for _ in range(inner_iters):
+                v2e = _extrinsic(to_prev, to_cur)
                 msg_ev = self._evidence_llrs(*self._beliefs(log_tables, v2e))
                 totals = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
                 np.subtract(totals[self.info_of_check], to_info, out=in_info)
@@ -227,10 +250,8 @@ class JointPairDecoder:
                 outs *= 2.0
                 if _same_messages(outs, old[0]):
                     break
-                np.add(to_cur[:, :-1], to_prev[:, 1:], out=v2e[:, :-1])
-                v2e[:, -1] = to_cur[:, -1]
             # beliefs with the final messages
-            beliefs, _ = self._beliefs(log_tables, v2e)
+            beliefs, _ = self._beliefs(log_tables, _extrinsic(to_prev, to_cur))
 
         info_llr = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
         # P(bit = 0); info_llr sums three clipped-scale messages, so exp stays finite
@@ -242,4 +263,4 @@ class JointPairDecoder:
         pair_bit /= pair_bit.sum(axis=1, keepdims=True)
 
         pair_symbol = np.ascontiguousarray((beliefs / beliefs.sum(axis=0)).T)
-        return PairPosterior(pair_symbol=pair_symbol, pair_bit=pair_bit)
+        return PairPosterior(pair_symbol=pair_symbol, pair_bit=pair_bit, messages=outs)

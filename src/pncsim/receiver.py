@@ -198,13 +198,16 @@ class PhaseObjective:
                 self.c0 += (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
                 stats[..., col] += np.conj(r_p) @ h_p
         self.s_a, self.s_b, self.s_ab = stats[..., 2], stats[..., 3], stats[..., 4]
+        # Re(e^{jx} s) = |s| cos(x + angle(s)): value needs only three real
+        # cosines, no complex exp, with each |s| and angle(s) taken once here
+        self._polar = [(np.abs(s), np.angle(s)) for s in (self.s_a, self.s_b, self.s_ab)]
 
     def value(self, theta_a, theta_b):
-        # Re(e^{jx} s) = |s| cos(x + angle(s)): three real cosines, no complex exp
+        (mag_a, arg_a), (mag_b, arg_b), (mag_ab, arg_ab) = self._polar
         return 2.0 * (
-            np.abs(self.s_a) * np.cos(theta_a + np.angle(self.s_a))
-            + np.abs(self.s_b) * np.cos(theta_b + np.angle(self.s_b))
-            - np.abs(self.s_ab) * np.cos(theta_a - theta_b + np.angle(self.s_ab))
+            mag_a * np.cos(theta_a + arg_a)
+            + mag_b * np.cos(theta_b + arg_b)
+            - mag_ab * np.cos(theta_a - theta_b + arg_ab)
         ) - self.c0
 
 
@@ -246,8 +249,9 @@ def particle_m_step(
     exp((value - row max)/sigma_w2) and pull them towards their weighted
     mean by particle_shrink; finally return each row's best particle of the
     last round, or its initial lattice argmax if that scores higher, wrapped
-    into [0, 2pi).  A row with degenerate weights returns its own
-    ``prev_theta``, with one warning.
+    into [0, 2pi).  A row's best particle weighs exp(0) = 1, so its weights
+    sum to at least 1 whenever its values are finite; a row of NaN values
+    returns NaN, which ``m_step``'s keep rule never takes.
 
     Because the lattice rides on the running estimate rather than on
     absolute phase 0, rotating the objective by (phi_a, phi_b) and
@@ -268,16 +272,9 @@ def particle_m_step(
     grid0_best = particles[:, rows, grid0_vals.argmax(axis=1)].T
 
     vals = grid0_vals
-    degenerate = np.zeros(len(rows), dtype=bool)
     for _ in range(rx_cfg.particle_rounds):
-        shifted = vals - vals.max(axis=1, keepdims=True)
-        weights = np.exp(shifted / rx_cfg.sigma_w2)
-        total = weights.sum(axis=1)
-        bad = ~(np.isfinite(total) & (total > 0.0))
-        for _ in range(np.count_nonzero(bad & ~degenerate)):
-            warnings.warn("degenerate particle weights; keeping previous phase")
-        degenerate |= bad
-        weights /= total[:, None]
+        weights = np.exp((vals - vals.max(axis=1, keepdims=True)) / rx_cfg.sigma_w2)
+        weights /= weights.sum(axis=1, keepdims=True)
         mean = (weights * particles).sum(axis=2, keepdims=True)  # (2, M, 1)
         particles = (1.0 - shrink) * particles + shrink * mean
         vals = objective.value(particles[0].T, particles[1].T).T
@@ -286,7 +283,6 @@ def particle_m_step(
     # never return a particle worse than the coarse grid argmax
     coarse = grid0_vals.max(axis=1) > vals.max(axis=1)
     best = _wrap(np.where(coarse[:, None], grid0_best, best))
-    best[degenerate] = prev.reshape(-1, 2)[degenerate]
     return best.reshape(prev.shape)
 
 
@@ -344,7 +340,10 @@ def em_bp_receive(
     the constellation from ``decoder``, which rejects a frame that does not
     fill its code.  The final phases and XOR decisions are the last entries
     of the histories.  With ``em_iters == 0`` this is the pilot-only
-    baseline: LS phases followed by a single BP decode.
+    baseline: LS phases followed by a single BP decode.  Round 0 decodes
+    from zero messages; each later round's decode starts from the check
+    messages the round before it left, since the M-step moves the evidence
+    only by a phase update, and keeps the full ``bp_iters`` budget.
     """
     constellation = decoder.constellation
     m_symbols = r.shape[0]
@@ -355,9 +354,11 @@ def em_bp_receive(
     xor_history = np.empty((k_total + 1, decoder.ra.k_info), dtype=np.int64)
     theta_history[0] = theta
 
+    messages = None  # round 0 decodes from zero messages
     for k in range(k_total + 1):
         evidence = pair_evidence(r, chan, tone_map, constellation, theta, rx_cfg.sigma_w2)
-        posterior = decoder.decode(evidence, rx_cfg.bp_iters)
+        posterior = decoder.decode(evidence, rx_cfg.bp_iters, start=messages)
+        messages = posterior.messages
         xor_history[k] = pnc_map(posterior.pair_bit)
         if k == k_total:
             break

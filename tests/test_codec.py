@@ -467,3 +467,42 @@ class TestFixedPointExit:
         full = decoder.decode(ev, 20)
         assert post.pair_bit.tobytes() == full.pair_bit.tobytes()
         assert post.pair_symbol.tobytes() == full.pair_symbol.tobytes()
+
+
+class TestWarmStart:
+    """``decode`` may start from given check messages instead of zeros."""
+
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    def test_start_at_fixed_point_stops_after_one_iteration(self, monkeypatch, mod):
+        """Started from the messages of a cold decode that reached its fixed
+        point, the same evidence repeats them at once: one iteration, and
+        the posteriors bit for bit the cold decode's."""
+        decoder, ev = flat_frame_evidence(mod, 30.0, seed=2)
+        cold = decoder.decode(ev, 20)
+        same, matches = codec._same_messages, []
+
+        def recorded(a, b):
+            matches.append(same(a, b))
+            return matches[-1]
+
+        monkeypatch.setattr(codec, "_same_messages", recorded)
+        warm = decoder.decode(ev, 20, start=cold.messages)
+        assert matches == [True]
+        for name in ("pair_bit", "pair_symbol", "messages"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
+
+    def test_start_is_not_written(self):
+        decoder, ev = flat_frame_evidence(QPSK, 0.0, seed=3)
+        start = decoder.decode(ev, 3).messages
+        kept = start.copy()
+        warm = decoder.decode(ev, 20, start=start)
+        assert start.tobytes() == kept.tobytes()
+        assert not np.shares_memory(warm.messages, start)
+
+    def test_rejects_wrong_shape(self):
+        con = make_constellation(BPSK)
+        decoder = JointPairDecoder(RaCode.build(8, seed=2), con)
+        ev = PairEvidence(tables=np.ones((24, 4)))
+        for shape in ((3, 2, 23), (2, 2, 24), (3, 24)):
+            with pytest.raises(ValueError, match="start messages must have shape"):
+                decoder.decode(ev, 2, start=np.zeros(shape))

@@ -520,25 +520,17 @@ class TestParticleMStep:
             best0 = np.max(obj.value(lattice[:, 0], lattice[:, 1]))
             assert obj.value(got[0], got[1]) >= best0 - 1e-9
 
-    def test_degenerate_weights_return_previous(self):
-        class NanObjective:
-            def value(self, a, b):
-                return np.full(np.broadcast(a, b).shape, np.nan)
-
-        rx_cfg = ReceiverConfig(sigma_w2=0.1, particle_rounds=2, particle_l=4)
-        prev = np.array([0.5, 1.5])
-        with pytest.warns(UserWarning, match="degenerate particle weights"):
-            got = particle_m_step(NanObjective(), prev, rx_cfg)
-        np.testing.assert_array_equal(got, prev)
-
     def test_equivariant_under_phase_rotation(self, cfg):
         """Rotating the objective and the running estimate by (phi_a, phi_b)
         rotates the search result by the same pair.
 
-        value(theta) of the rotated statistics equals value(theta - phi), so
-        a search that does not favour any absolute phase must follow the
-        rotation exactly.  A lattice pinned at absolute phase 0 breaks this
-        and always offers the zero-drift truth as a candidate.
+        The rotated objective is built from the channels h_a e^{-j phi_a} and
+        h_b e^{-j phi_b}, which rotate s_a, s_b and s_ab by e^{-j phi_a},
+        e^{-j phi_b} and e^{-j (phi_a - phi_b)} and leave c0 as it is.  Its
+        value(theta) equals value(theta - phi), so a search that does not
+        favour any absolute phase must follow the rotation exactly.  A
+        lattice pinned at absolute phase 0 breaks this and always offers the
+        zero-drift truth as a candidate.
         """
         con = cfg.constellation()
         n = len(cfg.tone_map().data_tones)
@@ -551,10 +543,9 @@ class TestParticleMStep:
             post /= post.sum(axis=1, keepdims=True)
             obj = PhaseObjective(r, h_a, h_b, post, con)
             phi = rng.uniform(0, 2 * np.pi, 2)
-            rot = PhaseObjective(r, h_a, h_b, post, con)
-            rot.s_a *= np.exp(-1j * phi[0])
-            rot.s_b *= np.exp(-1j * phi[1])
-            rot.s_ab *= np.exp(-1j * (phi[0] - phi[1]))
+            rot = PhaseObjective(
+                r, h_a * np.exp(-1j * phi[0]), h_b * np.exp(-1j * phi[1]), post, con
+            )
             prev = rng.uniform(0, 2 * np.pi, 2)
             rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
             got = particle_m_step(obj, prev, rx_cfg)
@@ -636,36 +627,29 @@ class TestParticleMStep:
     def test_batched_equals_per_row_calls(self, cfg):
         """One M-step over a stacked objective (the full-plane stage and a
         refine stage, each with its keep rule) equals one single-symbol call
-        per row.  A row whose
-        statistics are all NaN keeps its previous phases with one warning
-        per search, and leaves every other row bit-identical."""
+        per row.  A row whose posterior is all NaN, and so are its
+        statistics, keeps its previous phases and leaves every other row
+        bit-identical."""
         rng = np.random.default_rng(36)
         m, nan_row = 12, 5
         r, h_a, h_b, post, con = self._random_objectives(cfg, rng, m)
         theta = rng.uniform(0, 2 * np.pi, (m, 2))
         rx_cfg = ReceiverConfig(sigma_w2=0.3, em_refine_passes=1)
         clean = m_step(PhaseObjective(r, h_a, h_b, post, con), theta, rx_cfg)
+        post[nan_row] = np.nan
         batched = PhaseObjective(r, h_a, h_b, post, con)
         rows = [PhaseObjective(r[i], h_a, h_b, post[i], con) for i in range(m)]
         for name in ("c0", "s_a", "s_b", "s_ab"):
+            assert np.all(np.isnan(getattr(batched, name)[nan_row])), name
             np.testing.assert_allclose(
                 getattr(batched, name), [getattr(o, name) for o in rows], rtol=1e-13
             )
-            getattr(batched, name)[nan_row] = np.nan
-            setattr(rows[nan_row], name, np.nan)
-        with warnings.catch_warnings(record=True) as caught_batched:
-            warnings.simplefilter("always")
-            got = m_step(batched, theta, rx_cfg)
-        with warnings.catch_warnings(record=True) as caught_rows:
-            warnings.simplefilter("always")
-            expect = np.stack([m_step(rows[i], theta[i], rx_cfg) for i in range(m)])
+        got = m_step(batched, theta, rx_cfg)
+        expect = np.stack([m_step(rows[i], theta[i], rx_cfg) for i in range(m)])
         assert np.max(np.abs(np.angle(np.exp(1j * (got - expect))))) < 1e-12
         np.testing.assert_array_equal(got[nan_row], theta[nan_row])
         others = np.arange(m) != nan_row
         np.testing.assert_array_equal(got[others], clean[others])
-        messages = [str(w.message) for w in caught_batched]
-        assert messages == [str(w.message) for w in caught_rows]
-        assert messages == ["degenerate particle weights; keeping previous phase"] * 2
 
     def test_monte_carlo_accuracy_at_20db(self):
         """500 random trials with exact symbol knowledge at 20 dB.
@@ -779,6 +763,16 @@ class TestEmBpReceive:
         np.testing.assert_array_equal(out.xor_history[-1], pnc_map(post.pair_bit))
         np.testing.assert_array_equal(out.theta_history[-1], est)
 
+    def test_round_zero_decodes_cold(self, cfg):
+        """With EM rounds to follow, round 0 is still the baseline: its XOR
+        decisions are those of one decode from zero messages."""
+        out, _, (freq, chan, tm, con, ra, rx_cfg) = self._simulate(
+            cfg, em_iters=3, sigma_n2=0.3, cfo=(0.02, -0.03), seed=4
+        )
+        ev = pair_evidence(freq, chan, tm, con, out.theta_history[0], rx_cfg.sigma_w2)
+        post = JointPairDecoder(ra, con).decode(ev, rx_cfg.bp_iters)
+        np.testing.assert_array_equal(out.xor_history[0], pnc_map(post.pair_bit))
+
     def test_frame_that_does_not_fill_the_code_is_rejected(self, cfg):
         """M is read from the frame: 4 demodulated symbols given to a decoder
         built for a 10-symbol code fail the decoder's evidence-shape check."""
@@ -796,7 +790,8 @@ class TestEmBpReceive:
 
     def test_em_never_worsens_objective(self, cfg):
         """Under round k's objective, rebuilt from theta_history[k] (evidence,
-        decode, objective), every symbol's phases of round k + 1 score at
+        decode started from round k - 1's check messages as the EM loop
+        does, objective), every symbol's phases of round k + 1 score at
         least as well as those of round k, with and without a refine pass."""
         for refine in (0, 1):
             out, _, (freq, chan, tm, con, ra, rx_cfg) = self._simulate(
@@ -805,9 +800,11 @@ class TestEmBpReceive:
             decoder = JointPairDecoder(ra, con)
             hist = out.theta_history
             assert np.all(np.isfinite(hist))
+            messages = None
             for k in range(rx_cfg.em_iters):
                 ev = pair_evidence(freq, chan, tm, con, hist[k], rx_cfg.sigma_w2)
-                post = decoder.decode(ev, rx_cfg.bp_iters)
+                post = decoder.decode(ev, rx_cfg.bp_iters, start=messages)
+                messages = post.messages
                 tables = post.pair_symbol.reshape(cfg.m_symbols, -1, con.size**2)
                 obj = build_phase_objective(freq, chan, tm, con, tables)
                 value = lambda t: obj.value(t[..., 0], t[..., 1])
