@@ -25,7 +25,6 @@ from .frame import (
     ToneMap,
     default_config,
     default_tone_map,
-    demap_bits,
     make_constellation,
     map_bits,
     ofdm_modulate,

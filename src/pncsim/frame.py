@@ -74,12 +74,6 @@ class ToneMap:
             raise ValueError(f"tone sets must be distinct bins in [0, {FrameConfig.n_fft})")
 
     @property
-    def zero_tones(self) -> np.ndarray:
-        """The bins in none of the three sets: DC and the guard band in the default map."""
-        used = np.concatenate([self.data_tones, self.pilot_tones_a, self.pilot_tones_b])
-        return np.setdiff1d(np.arange(FrameConfig.n_fft), used)
-
-    @property
     def n_data(self) -> int:
         return len(self.data_tones)
 
@@ -160,15 +154,6 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     groups = bits.reshape(-1, b)
     weights = 1 << np.arange(b - 1, -1, -1)
     return constellation.points[groups @ weights]
-
-
-def demap_bits(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Hard nearest-point demapping; exact inverse of map_bits on clean symbols."""
-    symbols = np.asarray(symbols)
-    idx = np.argmin(np.abs(symbols[:, None] - constellation.points[None, :]), axis=1)
-    b = constellation.bits_per_symbol
-    shifts = np.arange(b - 1, -1, -1)
-    return ((idx[:, None] >> shifts) & 1).astype(np.int64).reshape(-1)
 
 
 def build_payload_grid(data_symbols: np.ndarray, tone_map: ToneMap, node: str) -> np.ndarray:

@@ -12,6 +12,7 @@ import configparser
 import contextlib
 import csv
 import multiprocessing
+import os
 import time
 import types
 import typing
@@ -301,13 +302,16 @@ def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_d
 def trial_runner(cfg: ExperimentConfig):
     """Yield ``(ctx, run)``: ``run(snr_idx, start, stop)`` returns the
     TrialMetrics of trials [start, stop) of one SNR point, in trial order.
-    The calling process and min(jobs, trials_per_snr) - 1 pool workers, one
-    task each per call and alive until the with block ends, take the trial
-    indices from one shared counter, so the list is the same for any jobs."""
+    The calling process and min(jobs, trials_per_snr, usable CPUs) - 1 pool
+    workers, one task each per call and alive until the with block ends,
+    take the trial indices from one shared counter, so the list is the same
+    for any jobs."""
     ctx = _make_context(cfg)
     next_trial = multiprocessing.Value("q", 0)
     pool = None
-    workers = min(cfg.jobs, cfg.trials_per_snr) - 1  # past the cap a worker would get no trial
+    # a worker past the trial cap would get no trial, one past the CPUs the
+    # process may run on (its affinity set) would only queue for them
+    workers = min(cfg.jobs, cfg.trials_per_snr, len(os.sched_getaffinity(0))) - 1
     if workers > 0:
         pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx, next_trial))
 
@@ -337,7 +341,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cap), so the trials run never depend on jobs.  One frame adds at most
     k_info errors per receiver, so each check runs every trial up to the
     first such multiple at which the policy could hold, as one trial_runner
-    call, and sums the results in trial order."""
+    call, and sums the results in trial order.
+
+    A point stops on the fewest errors over all reported receivers, so a
+    change to the em_bp receiver alone can change how many frames an
+    adaptively stopped point runs, and with them its baseline rows; only a
+    point that runs to its trial cap keeps them."""
     reported = cfg.reported()
     n_rep = len(reported)
     result = ExperimentResult()

@@ -15,6 +15,8 @@ search treats every true drift alike.
 
 from __future__ import annotations
 
+import copy
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -180,35 +182,41 @@ class PhaseObjective:
         pilot_a: tuple[np.ndarray, np.ndarray] | None = None,
         pilot_b: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        # One real matmul gives each tone's posterior means of |X_a|^2,
-        # |X_b|^2, X_a, X_b and X_a conj(X_b); one weighted sum over the tones
+        # All but the posterior is fixed for a frame and kept for _fit: one
+        # real matmul gives each tone's posterior means of |X_a|^2, |X_b|^2,
+        # X_a, X_b and X_a conj(X_b); one weighted sum over the tones
         # follows, so no (..., N_d, Q^2) product is built.
         pair = lambda a, b: np.array([abs(a) ** 2, abs(b) ** 2, a, b, a * np.conj(b)]).T
         q, points = constellation.size, constellation.points
         xa, xb = points.repeat(q), np.tile(points, q)  # joint entry a*Q + b
-        terms = np.ascontiguousarray(pair(xa, xb)).view(np.float64)  # (Q^2, 10) real
-        means = (posterior @ terms).view(np.complex128)  # (..., N_d, 5)
-        means[..., 2:4] *= np.conj(r_data)[..., None]
-        stats = (means * pair(h_a_data, h_b_data)).sum(axis=-2)
-        self.c0 = (np.abs(r_data) ** 2).sum(axis=-1) + stats[..., 0].real + stats[..., 1].real
+        self._terms = np.ascontiguousarray(pair(xa, xb)).view(np.float64)
+        self._r_conj = np.conj(r_data)[..., None]
+        self._h_pair = pair(h_a_data, h_b_data)
+        self._r_energy = (np.abs(r_data) ** 2).sum(axis=-1)
         # pilot tones: the owner's +1 through its channel, silence from the other
+        self._pilots = []
         for col, pilot in ((2, pilot_a), (3, pilot_b)):
             if pilot is not None:
                 r_p, h_p = pilot
-                self.c0 += (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
-                stats[..., col] += np.conj(r_p) @ h_p
+                energy = (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
+                self._pilots.append((col, energy, np.conj(r_p) @ h_p))
+        self._fit(posterior)
+
+    def _fit(self, posterior: np.ndarray) -> PhaseObjective:
+        """Set the statistics for ``posterior``; returns self."""
+        means = (posterior @ self._terms).view(np.complex128)  # (..., N_d, 5)
+        means[..., 2:4] *= self._r_conj
+        stats = (means * self._h_pair).sum(axis=-2)
+        self.c0 = self._r_energy + stats[..., 0].real + stats[..., 1].real
+        for col, energy, corr in self._pilots:
+            self.c0 += energy
+            stats[..., col] += corr
         self.s_a, self.s_b, self.s_ab = stats[..., 2], stats[..., 3], stats[..., 4]
-        # Re(e^{jx} s) = |s| cos(x + angle(s)): value needs only three real
-        # cosines, no complex exp, with each |s| and angle(s) taken once here
-        self._polar = [(np.abs(s), np.angle(s)) for s in (self.s_a, self.s_b, self.s_ab)]
+        return self
 
     def value(self, theta_a, theta_b):
-        (mag_a, arg_a), (mag_b, arg_b), (mag_ab, arg_ab) = self._polar
-        return 2.0 * (
-            mag_a * np.cos(theta_a + arg_a)
-            + mag_b * np.cos(theta_b + arg_b)
-            - mag_ab * np.cos(theta_a - theta_b + arg_ab)
-        ) - self.c0
+        rotated = self.s_a * np.exp(1j * theta_a) + self.s_b * np.exp(1j * theta_b)
+        return 2.0 * (rotated - self.s_ab * np.exp(1j * (theta_a - theta_b))).real - self.c0
 
 
 def build_phase_objective(
@@ -217,18 +225,53 @@ def build_phase_objective(
     tone_map: ToneMap,
     constellation: Constellation,
     posterior: np.ndarray,
+    reuse: PhaseObjective | None = None,
 ) -> PhaseObjective:
     """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, or
     for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors:
     each node sends the known +1 on its own ``tone_map`` pilot tones and
     nothing on the other node's, so any per-node pilot split, a three-field
-    ``ToneMap``, anchors the phases the same way."""
+    ``ToneMap``, anchors the phases the same way.  ``reuse``, an objective
+    built from the same frame, lends its fixed terms, so only the
+    posterior's statistics are computed."""
+    if reuse is not None:
+        return copy.copy(reuse)._fit(posterior)
     data = tone_map.data_tones
     pa, pb = tone_map.pilot_tones_a, tone_map.pilot_tones_b
     pilot_a = (r[..., pa], chan.h_freq_a[pa])
     pilot_b = (r[..., pb], chan.h_freq_b[pb])
     h_a, h_b = chan.h_freq_a[data], chan.h_freq_b[data]
     return PhaseObjective(r[..., data], h_a, h_b, posterior, constellation, pilot_a, pilot_b)
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice(l_grid: int, span: float | None, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (L^2, 2) offsets (rho*o_i, rho*o_j) of particle i*L + j, with
+    base offsets o = 2pi*i/L (``span`` None) or a ``span`` window centred on
+    0, and the (6, L^2) table of their phasors that ``_lattice_values`` reads."""
+    base = (2.0 * np.pi if span is None else span) * np.arange(l_grid) / l_grid
+    if span is not None:
+        base = base - span * (l_grid - 1) / (2 * l_grid)
+    offsets = rho * np.stack([base.repeat(l_grid), np.tile(base, l_grid)], axis=1)
+    # Re(s k e^{jx}) = [Re s, Im s] . [Re, Im](k e^{-jx}) for real k: the
+    # objective's weights k = 2, 2, -2 on theta_a, theta_b, theta_a - theta_b
+    a, b = offsets.T
+    phasors = np.exp(-1j * np.stack([a, b, a - b], axis=1)) * [2.0, 2.0, -2.0]  # (L^2, 3)
+    table = np.ascontiguousarray(phasors.view(np.float64).T)  # (6, L^2)
+    offsets.flags.writeable = table.flags.writeable = False
+    return offsets, table
+
+
+# (M, 2) centres @ _ANGLES are the angles theta_a, theta_b and theta_a - theta_b
+_ANGLES = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+
+
+def _lattice_values(stats: np.ndarray, c0: np.ndarray, centre: np.ndarray, lattice) -> np.ndarray:
+    """Objective (M, L^2) on the lattice around the (M, 2) centres (c_a, c_b):
+    the real view of the (M, 3) s_a e^{jc_a}, s_b e^{jc_b}, s_ab e^{j(c_a-c_b)}
+    times the phasor table, less the (M, 1) c0."""
+    rotated = stats * np.exp(1j * (centre @ _ANGLES))
+    return rotated.view(np.float64) @ lattice[1] - c0
 
 
 def particle_m_step(
@@ -240,18 +283,22 @@ def particle_m_step(
     """Maximize the symbols' phase objectives with a shrinking particle grid.
 
     ``prev_theta`` is (M, 2) for an objective over M symbols or (2,) for
-    one, and so is the result.  With L = particle_l, the particles of all
-    rows run as one (2, M, L^2) array of theta_a and theta_b planes, and no
-    row affects another.  Start from an L x L lattice: with ``span`` None the
-    full plane anchored at ``prev_theta`` (prev_theta + 2pi*i/L), else a
-    window of ``span`` per axis centred on ``prev_theta``; for each of
-    particle_rounds rounds, weight a row's particles by
-    exp((value - row max)/sigma_w2) and pull them towards their weighted
-    mean by particle_shrink; finally return each row's best particle of the
-    last round, or its initial lattice argmax if that scores higher, wrapped
-    into [0, 2pi).  A row's best particle weighs exp(0) = 1, so its weights
-    sum to at least 1 whenever its values are finite; a row of NaN values
-    returns NaN, which ``m_step``'s keep rule never takes.
+    one, and so is the result.  With L = particle_l, start from an L x L
+    lattice per row: with ``span`` None the full plane anchored at
+    ``prev_theta`` (prev_theta + 2pi*i/L), else a window of ``span`` per
+    axis centred on ``prev_theta``; for each of particle_rounds rounds,
+    weight a row's particles by exp((value - row max)/sigma_w2) and pull
+    them towards their weighted mean by particle_shrink; finally return each
+    row's best particle of the last round, or its initial lattice argmax if
+    that scores higher, wrapped into [0, 2pi).  No row affects another.  A
+    row's best particle weighs exp(0) = 1, so its weights sum to at least 1
+    whenever its values are finite; a row of NaN values returns NaN, which
+    ``m_step``'s keep rule never takes.
+
+    The pull is affine with one factor for all particles, so a row's cloud
+    stays a product lattice, its centre plus the base lattice shrunk by
+    (1 - particle_shrink)^r after r rounds, and each round is one (M, 6) @
+    (6, L^2) matmul against a cached phasor table (``_lattice``).
 
     Because the lattice rides on the running estimate rather than on
     absolute phase 0, rotating the objective by (phi_a, phi_b) and
@@ -259,27 +306,21 @@ def particle_m_step(
     absolute phase is ever favoured as a candidate.
     """
     prev = np.asarray(prev_theta, dtype=float)
-    rows = np.arange(prev.size // 2)
-    l_grid, shrink = rx_cfg.particle_l, rx_cfg.particle_shrink
-    base = (2.0 * np.pi if span is None else span) * np.arange(l_grid) / l_grid
-    if span is not None:
-        base = base - span * (l_grid - 1) / (2 * l_grid)
-    base = base + prev.reshape(-1, 2).T[:, :, None]  # (2, M, L)
-    # particle i*L + j pairs theta_a offset i with theta_b offset j
-    particles = np.stack([base[0].repeat(l_grid, axis=1), np.tile(base[1], l_grid)])
-    # (L^2, M) views broadcast against the objective's (M,) statistics
-    grid0_vals = objective.value(particles[0].T, particles[1].T).T
-    grid0_best = particles[:, rows, grid0_vals.argmax(axis=1)].T
-
-    vals = grid0_vals
+    centre = prev.reshape(-1, 2)
+    stats = np.stack([objective.s_a, objective.s_b, objective.s_ab], axis=-1).reshape(-1, 3)
+    c0 = np.reshape(objective.c0, (-1, 1))
+    l_grid, shrink, rho = rx_cfg.particle_l, rx_cfg.particle_shrink, 1.0
+    lattice = _lattice(l_grid, span, rho)
+    vals = grid0_vals = _lattice_values(stats, c0, centre, lattice)
+    grid0_best = centre + lattice[0][grid0_vals.argmax(axis=1)]
     for _ in range(rx_cfg.particle_rounds):
         weights = np.exp((vals - vals.max(axis=1, keepdims=True)) / rx_cfg.sigma_w2)
-        weights /= weights.sum(axis=1, keepdims=True)
-        mean = (weights * particles).sum(axis=2, keepdims=True)  # (2, M, 1)
-        particles = (1.0 - shrink) * particles + shrink * mean
-        vals = objective.value(particles[0].T, particles[1].T).T
+        centre = centre + shrink * (weights @ lattice[0]) / weights.sum(axis=1, keepdims=True)
+        rho *= 1.0 - shrink
+        lattice = _lattice(l_grid, span, rho)
+        vals = _lattice_values(stats, c0, centre, lattice)
 
-    best = particles[:, rows, vals.argmax(axis=1)].T
+    best = centre + lattice[0][vals.argmax(axis=1)]
     # never return a particle worse than the coarse grid argmax
     coarse = grid0_vals.max(axis=1) > vals.max(axis=1)
     best = _wrap(np.where(coarse[:, None], grid0_best, best))
@@ -354,7 +395,9 @@ def em_bp_receive(
     xor_history = np.empty((k_total + 1, decoder.ra.k_info), dtype=np.int64)
     theta_history[0] = theta
 
-    messages = None  # round 0 decodes from zero messages
+    # round 0 decodes from zero messages, and its objective builds the
+    # frame's fixed terms, which later rounds' objectives reuse
+    messages = obj = None
     for k in range(k_total + 1):
         evidence = pair_evidence(r, chan, tone_map, constellation, theta, rx_cfg.sigma_w2)
         posterior = decoder.decode(evidence, rx_cfg.bp_iters, start=messages)
@@ -363,7 +406,7 @@ def em_bp_receive(
         if k == k_total:
             break
         tables = posterior.pair_symbol.reshape(m_symbols, -1, constellation.size**2)
-        obj = build_phase_objective(r, chan, tone_map, constellation, tables)
+        obj = build_phase_objective(r, chan, tone_map, constellation, tables, reuse=obj)
         theta = m_step(obj, theta, rx_cfg)
         theta_history[k + 1] = theta
 

@@ -170,11 +170,12 @@ class TestRunExperiment:
 
         assert strip_seconds(p1) == strip_seconds(p2)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         """Every row field but the wall time agrees for jobs = 1, 2 and 3
         (the calling process and up to two workers sharing the trial
-        counter), and the rule stops a point only at a multiple of the
-        batch size."""
+        counter, with three usable CPUs), and the rule stops a point only
+        at a multiple of the batch size."""
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         cases = [
             dict(trials_per_snr=6),
             # min_errors unreachable: 3 batches, the last one short
@@ -205,7 +206,8 @@ class TestRunExperiment:
     def thread_pool(self, monkeypatch):
         """Replace the process pool by a thread pool that logs the worker
         count, every check's tasks, and every trial the calling process or
-        a worker thread runs, in the order they happen."""
+        a worker thread runs, in the order they happen.  The process may
+        use 64 CPUs, so only jobs and the trial cap bound the workers."""
         log = {"workers": [], "events": []}
         caller = threading.get_ident()
         trial = harness.run_single_trial
@@ -227,6 +229,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_WORKER_NEXT", None)
         monkeypatch.setattr(harness, "run_single_trial", logged_trial)
         monkeypatch.setattr(harness.multiprocessing, "Pool", LoggedPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
         return log
 
     @staticmethod
@@ -294,6 +297,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_WORKER_NEXT", None)
         monkeypatch.setattr(harness, "run_single_trial", instant_trial)
         monkeypatch.setattr(harness.multiprocessing, "Pool", ThreadPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -316,6 +320,15 @@ class TestRunExperiment:
         assert thread_pool["workers"] == [3]
         assert not any(e[0] == "check" for e in thread_pool["events"])
         assert [e[2:] for e in thread_pool["events"]] == [(0, True)] + [(t, True) for t in range(4)]
+
+    def test_workers_capped_by_usable_cpus(self, thread_pool, monkeypatch):
+        """A jobs value far past the CPUs is accepted, and the pool gets one
+        worker fewer than the CPUs the process may run on."""
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        result = run_experiment(_tiny_config(trials_per_snr=8, jobs=10**6))
+        assert thread_pool["workers"] == [2]
+        assert [len(tasks) for tasks, _ in self._checks(thread_pool)] == [2]
+        assert result.rows[0].frames == 8
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_failing_trial_raises_and_ends_the_pool(self, monkeypatch, where):
@@ -402,7 +415,19 @@ class TestRunExperiment:
         (em_bp, 1, 6.0)  errors 48 -> 47;
         (em_bp, 2, 6.0)  errors 45 -> 43,
                          mse_a 0.3287483204774968 -> 0.33355341290137613,
-                         mse_b 0.016367548982308168 -> 0.016240280031217868."""
+                         mse_b 0.016367548982308168 -> 0.016240280031217868.
+        They were re-recorded again when the particle search began scoring
+        its lattice with one matmul per round (the cloud kept as a centre
+        plus a shrunk product lattice, so positions and values round
+        differently), with every count unchanged; old -> new:
+        (em_bp, 1, 6.0)  mse_a 0.3248138249482494 -> 0.3248138249482501,
+                         mse_b 0.02678288105841484 -> 0.026782881058414705;
+        (em_bp, 1, 10.0) mse_a 0.002374008426734954 -> 0.002374008426734928,
+                         mse_b 0.0013359237173776154 -> 0.0013359237173776366;
+        (em_bp, 2, 6.0)  mse_a 0.33355341290137613 -> 0.3335534129013769,
+                         mse_b 0.016240280031217868 -> 0.01624028003121785;
+        (em_bp, 2, 10.0) mse_a 0.0026310007212528076 -> 0.0026310007212527776,
+                         mse_b 0.0008944252909650478 -> 0.000894425290965068."""
         cfg = _tiny_config(
             snr_db_list=(6.0, 10.0),
             em_bp_k=(1, 2),
@@ -417,10 +442,10 @@ class TestRunExperiment:
         assert got == [
             ("baseline", 0, 6.0, 57, 256, 4, 0.4033697682690225, 0.09243666901104974),
             ("baseline", 0, 10.0, 0, 256, 4, 0.02165348458046274, 0.06506893837894917),
-            ("em_bp", 1, 6.0, 47, 256, 4, 0.3248138249482494, 0.02678288105841484),
-            ("em_bp", 1, 10.0, 0, 256, 4, 0.002374008426734954, 0.0013359237173776154),
-            ("em_bp", 2, 6.0, 43, 256, 4, 0.33355341290137613, 0.016240280031217868),
-            ("em_bp", 2, 10.0, 0, 256, 4, 0.0026310007212528076, 0.0008944252909650478),
+            ("em_bp", 1, 6.0, 47, 256, 4, 0.3248138249482501, 0.026782881058414705),
+            ("em_bp", 1, 10.0, 0, 256, 4, 0.002374008426734928, 0.0013359237173776366),
+            ("em_bp", 2, 6.0, 43, 256, 4, 0.3335534129013769, 0.01624028003121785),
+            ("em_bp", 2, 10.0, 0, 256, 4, 0.0026310007212527776, 0.000894425290965068),
         ]
 
 

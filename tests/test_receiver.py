@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pncsim.receiver as receiver_mod
 from pncsim.channel import (
     ChannelRealization,
     noise_var,
@@ -16,6 +17,7 @@ from pncsim.channel import (
 )
 from pncsim.codec import JointPairDecoder, RaCode, ra_encode
 from pncsim.frame import (
+    BPSK,
     QPSK,
     ToneMap,
     default_config,
@@ -473,33 +475,39 @@ class TestPhaseObjective:
         assert abs(per_symbol - frame_total) < 1e-10
 
 
-class _QuadraticObjective:
-    """Stand-in objective with a known analytic peak: (2,) for one symbol,
-    (M, 2) for M symbols."""
-
-    def __init__(self, peak, curvature=30.0):
-        self.peak = np.asarray(peak, dtype=float)
-        self.curvature = curvature
-
-    def value(self, theta_a, theta_b):
-        da = np.angle(np.exp(1j * (np.asarray(theta_a) - self.peak[..., 0])))
-        db = np.angle(np.exp(1j * (np.asarray(theta_b) - self.peak[..., 1])))
-        return -self.curvature * (da**2 + db**2)
+def _noiseless_objective(peak, con, seed, n_tones=48):
+    """Objective with a known maximum: noiseless tones sent at the phase
+    pairs ``peak``, (2,) for one symbol or (M, 2) for M, through random
+    channels, with all posterior mass on the sent symbol pairs.  Its value
+    is -sum |r - e^{j theta_a} X_a H_a - e^{j theta_b} X_b H_b|^2 <= 0,
+    which is 0 only at ``peak`` once the symbols' ratio X_a/X_b varies."""
+    rng = np.random.default_rng(seed)
+    peak = np.asarray(peak, dtype=float)
+    q = con.size
+    ia, ib = rng.integers(0, q, (2, *peak.shape[:-1], n_tones))
+    h_a, h_b = rng.standard_normal((2, n_tones)) + 1j * rng.standard_normal((2, n_tones))
+    r = (
+        np.exp(1j * peak[..., :1]) * con.points[ia] * h_a
+        + np.exp(1j * peak[..., 1:]) * con.points[ib] * h_b
+    )
+    post = np.zeros((*ia.shape, q * q))
+    np.put_along_axis(post, (ia * q + ib)[..., None], 1.0, axis=-1)
+    return PhaseObjective(r, h_a, h_b, post, con)
 
 
 class TestParticleMStep:
     def test_peak_on_grid_returned_exactly(self):
         peak = np.array([2 * np.pi * 3 / 10, 2 * np.pi * 7 / 10])
-        obj = _QuadraticObjective(peak, curvature=200.0)
+        obj = _noiseless_objective(peak, make_constellation(QPSK), seed=30)
         got = particle_m_step(obj, np.zeros(2), ReceiverConfig(sigma_w2=1e-3))
         np.testing.assert_allclose(got, peak, atol=1e-12)
 
     def test_p_zero_equals_grid_argmax(self):
         rx_cfg = ReceiverConfig(sigma_w2=0.3, particle_rounds=0)
         rng = np.random.default_rng(31)
-        for _ in range(20):
+        for seed in range(20):
             peak = rng.uniform(0, 2 * np.pi, 2)
-            obj = _QuadraticObjective(peak, curvature=rng.uniform(5, 100))
+            obj = _noiseless_objective(peak, make_constellation(QPSK), seed, rng.integers(4, 49))
             got = particle_m_step(obj, np.zeros(2), rx_cfg)
             base = 2 * np.pi * np.arange(10) / 10
             ta, tb = np.meshgrid(base, base, indexing="ij")
@@ -510,8 +518,9 @@ class TestParticleMStep:
     def test_improvement_over_coarse_grid(self):
         """The returned point never scores below the initial lattice argmax."""
         rng = np.random.default_rng(32)
-        for _ in range(20):
-            obj = _QuadraticObjective(rng.uniform(0, 2 * np.pi, 2), rng.uniform(3, 300))
+        for seed in range(20):
+            peak = rng.uniform(0, 2 * np.pi, 2)
+            obj = _noiseless_objective(peak, make_constellation(QPSK), seed, rng.integers(4, 49))
             rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
             got = particle_m_step(obj, np.zeros(2), rx_cfg)
             base = 2 * np.pi * np.arange(10) / 10
@@ -519,6 +528,76 @@ class TestParticleMStep:
             lattice = np.stack([ta.reshape(-1), tb.reshape(-1)], axis=1)
             best0 = np.max(obj.value(lattice[:, 0], lattice[:, 1]))
             assert obj.value(got[0], got[1]) >= best0 - 1e-9
+
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    @pytest.mark.parametrize("m", [1, 12])
+    def test_lattice_values_match_objective(self, monkeypatch, mod, m):
+        """At every lattice point of every round of the full-plane stage and
+        two refine windows, the one-matmul lattice values equal
+        ``PhaseObjective.value`` at that particle to 1e-10.  M = 1 is one
+        symbol's (N_d,) row with scalar statistics."""
+        cfg = default_config(mod, 4, 0)
+        rng = np.random.default_rng(38)
+        r, h_a, h_b, post, con = self._random_objectives(cfg, rng, m)
+        theta = rng.uniform(0, 2 * np.pi, (m, 2))
+        if m == 1:
+            r, post, theta = r[0], post[0], theta[0]
+        obj = PhaseObjective(r, h_a, h_b, post, con)
+        kernel = receiver_mod._lattice_values
+        errors = []
+
+        def checked(stats, c0, centre, lattice):
+            vals = kernel(stats, c0, centre, lattice)
+            particles = centre[:, None, :] + lattice[0]  # (M, L^2, 2)
+            expect = obj.value(particles[..., 0].T, particles[..., 1].T).T
+            errors.append(np.max(np.abs(vals - expect)))
+            return vals
+
+        monkeypatch.setattr(receiver_mod, "_lattice_values", checked)
+        rx_cfg = ReceiverConfig(sigma_w2=0.3, em_refine_passes=2)
+        m_step(obj, theta, rx_cfg)
+        assert len(errors) == 3 * (1 + rx_cfg.particle_rounds)
+        assert max(errors) < 1e-10
+
+    @staticmethod
+    def _particle_plane_search(objective, prev, rx_cfg, span):
+        """Reference search: every particle of the (2, M, L^2) theta_a and
+        theta_b planes is pulled towards its row's weighted mean and scored
+        by ``objective.value``; returns each row's pick before wrapping."""
+        l_grid, shrink = rx_cfg.particle_l, rx_cfg.particle_shrink
+        base = (2.0 * np.pi if span is None else span) * np.arange(l_grid) / l_grid
+        if span is not None:
+            base = base - span * (l_grid - 1) / (2 * l_grid)
+        base = base + prev.T[:, :, None]  # (2, M, L)
+        particles = np.stack([base[0].repeat(l_grid, axis=1), np.tile(base[1], l_grid)])
+        value = lambda p: objective.value(p[0].T, p[1].T).T  # (M, L^2)
+        rows = np.arange(len(prev))
+        grid0_vals = vals = value(particles)
+        grid0_best = particles[:, rows, grid0_vals.argmax(axis=1)].T
+        for _ in range(rx_cfg.particle_rounds):
+            weights = np.exp((vals - vals.max(axis=1, keepdims=True)) / rx_cfg.sigma_w2)
+            weights /= weights.sum(axis=1, keepdims=True)
+            mean = (weights * particles).sum(axis=2, keepdims=True)
+            particles = (1.0 - shrink) * particles + shrink * mean
+            vals = value(particles)
+        best = particles[:, rows, vals.argmax(axis=1)].T
+        coarse = grid0_vals.max(axis=1) > vals.max(axis=1)
+        return np.where(coarse[:, None], grid0_best, best)
+
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    def test_matches_particle_plane_reference(self, mod):
+        """The lattice search picks what moving every particle of full
+        (2, M, L^2) planes picks, over the full plane and refine windows;
+        positions agree to rounding (1e-12 rad)."""
+        rng = np.random.default_rng(39)
+        r, h_a, h_b, post, con = self._random_objectives(default_config(mod, 4, 0), rng, 50)
+        obj = PhaseObjective(r, h_a, h_b, post, con)
+        for span in (None, 2 * np.pi * 0.2, 2 * np.pi * 0.04):
+            prev = rng.uniform(0, 2 * np.pi, (50, 2))
+            rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
+            got = particle_m_step(obj, prev, rx_cfg, span)
+            expect = self._particle_plane_search(obj, prev, rx_cfg, span)
+            assert np.max(np.abs(np.angle(np.exp(1j * (got - expect))))) < 1e-12
 
     def test_equivariant_under_phase_rotation(self, cfg):
         """Rotating the objective and the running estimate by (phi_a, phi_b)
@@ -606,8 +685,9 @@ class TestParticleMStep:
     def test_m_step_never_scores_below_its_input(self, cfg):
         """Every stage keeps its result only where it scores no lower than the
         running estimate, so no row of an M-step ends below its input.  Rows
-        that start on the peak of a quadratic objective leave every refine
-        window's lattice with only worse points, so they need the keep rule."""
+        that start on the known maximum of a noiseless objective leave every
+        refine window's lattice with only worse points, so they need the keep
+        rule."""
         rng = np.random.default_rng(37)
         for passes in (0, 1, 2):
             for _ in range(10):
@@ -615,7 +695,7 @@ class TestParticleMStep:
                 peak = theta + rng.uniform(-1, 1, (20, 2)) * (np.arange(20) % 2)[:, None]
                 for obj in (
                     PhaseObjective(*self._random_objectives(cfg, rng, 20)),
-                    _QuadraticObjective(peak, curvature=rng.uniform(3, 300)),
+                    _noiseless_objective(peak, cfg.constellation(), rng.integers(1 << 30)),
                 ):
                     rx_cfg = ReceiverConfig(
                         sigma_w2=rng.uniform(0.01, 1.0), em_refine_passes=passes
