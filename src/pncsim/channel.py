@@ -18,31 +18,32 @@ from .frame import FrameConfig
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """One draw of the uplink channel pair.
+    """One draw of the uplink channel pair, row 0 = node A, row 1 = node B.
 
-    ``h_freq_a``/``h_freq_b`` are the length-N frequency responses seen in
-    the DFT window, N = ``FrameConfig.n_fft``; node B's includes the phase
-    ramp of its relative delay.  The tap counts are the lengths of the tap
-    arrays.  CFOs are normalized to the subcarrier spacing.
+    ``taps`` is (2, L), both nodes having the same tap count L, and ``cfo``
+    the (2,) CFOs normalized to the subcarrier spacing.  ``h_freq`` is the
+    (2, N) frequency responses seen in the DFT window, N =
+    ``FrameConfig.n_fft``; node B's row includes the phase ramp of its
+    relative delay.
     """
 
-    taps_a: np.ndarray
-    taps_b: np.ndarray
+    taps: np.ndarray
     relative_delay: int
-    cfo_a: float
-    cfo_b: float
-    h_freq_a: np.ndarray = field(init=False)
-    h_freq_b: np.ndarray = field(init=False)
+    cfo: np.ndarray
+    h_freq: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.taps_a = np.asarray(self.taps_a, dtype=complex)
-        self.taps_b = np.asarray(self.taps_b, dtype=complex)
+        self.taps = np.asarray(self.taps, dtype=complex)
+        self.cfo = np.asarray(self.cfo, dtype=float)
+        if self.taps.ndim != 2 or self.taps.shape[0] != 2 or self.taps.shape[1] < 1:
+            raise ValueError(f"taps must be a (2, L >= 1) array, got shape {self.taps.shape}")
+        if self.cfo.shape != (2,):
+            raise ValueError(f"cfo must be a (2,) pair, got shape {self.cfo.shape}")
         if self.relative_delay < 0:
             raise ValueError("relative delay must be nonnegative")
         n_fft = FrameConfig.n_fft
-        self.h_freq_a = np.fft.fft(self.taps_a, n=n_fft)
-        ramp = np.exp(-2j * np.pi * np.arange(n_fft) * self.relative_delay / n_fft)
-        self.h_freq_b = np.fft.fft(self.taps_b, n=n_fft) * ramp
+        self.h_freq = np.fft.fft(self.taps, n=n_fft, axis=1)
+        self.h_freq[1] *= np.exp(-2j * np.pi * np.arange(n_fft) * self.relative_delay / n_fft)
 
 
 def max_delay(n_taps: int) -> int:
@@ -79,14 +80,9 @@ def _draw_taps(rng: np.random.Generator, profile: np.ndarray) -> np.ndarray:
     return scale * (rng.standard_normal(len(profile)) + 1j * rng.standard_normal(len(profile)))
 
 
-def sample_flat(
-    rng: np.random.Generator,
-    tau: int = 0,
-    cfo_a: float = 0.0,
-    cfo_b: float = 0.0,
-) -> ChannelRealization:
+def sample_flat(rng: np.random.Generator, tau: int = 0, cfo=(0.0, 0.0)) -> ChannelRealization:
     """Flat Rayleigh fading: one unit-mean-power tap per node."""
-    return sample_selective(1, 0.0, rng, tau, cfo_a, cfo_b)
+    return sample_selective(1, 0.0, rng, tau, cfo)
 
 
 def sample_selective(
@@ -94,33 +90,27 @@ def sample_selective(
     decay: float,
     rng: np.random.Generator,
     tau: int = 0,
-    cfo_a: float = 0.0,
-    cfo_b: float = 0.0,
+    cfo=(0.0, 0.0),
 ) -> ChannelRealization:
-    """Tapped-delay-line Rayleigh fading with exponential power decay."""
+    """Tapped-delay-line Rayleigh fading with exponential power decay; node
+    A's taps are drawn first, then node B's."""
     if n_taps < 1:
         raise ValueError("need at least one tap")
     if decay < 0:
         raise ValueError("decay factor must be nonnegative")
     profile = exp_power_profile(n_taps, decay)
-    return ChannelRealization(
-        taps_a=_draw_taps(rng, profile),
-        taps_b=_draw_taps(rng, profile),
-        relative_delay=tau,
-        cfo_a=cfo_a,
-        cfo_b=cfo_b,
-    )
+    taps = [_draw_taps(rng, profile) for _ in range(2)]
+    return ChannelRealization(taps=taps, relative_delay=tau, cfo=cfo)
 
 
 def simulate_uplink(
-    frame_a: np.ndarray,
-    frame_b: np.ndarray,
+    frames: np.ndarray,
     chan: ChannelRealization,
     sigma_n2: float,
     rng: np.random.Generator,
     config: FrameConfig,
 ) -> np.ndarray:
-    """Superimpose both nodes' frames at the relay, per-sample model.
+    """Superimpose both nodes' (2, n) frames at the relay, per-sample model.
 
     Each node's stream is convolved with its taps; node B's is delayed by
     the relative offset; each then rotates by exp(j*2*pi*cfo*n/N) at
@@ -130,22 +120,17 @@ def simulate_uplink(
     irrelevant to demodulation).
     """
     n_total = config.m_symbols * config.n_s
-    if len(frame_a) != n_total or len(frame_b) != n_total:
-        raise ValueError("frames must be m_symbols * n_s samples long")
+    if len(frames) != 2 or any(len(frame) != n_total for frame in frames):
+        raise ValueError("frames must be two streams of m_symbols * n_s samples")
     if sigma_n2 < 0:
         raise ValueError("noise variance must be nonnegative")
-    if max_delay(len(chan.taps_a)) < 0 or chan.relative_delay > max_delay(len(chan.taps_b)):
+    if chan.relative_delay > max_delay(chan.taps.shape[1]):
         raise ValueError("delay spread exceeds the cyclic prefix")
     n = np.arange(n_total)
-    sig_a = np.convolve(frame_a, chan.taps_a)[:n_total]
-    sig_b_full = np.convolve(frame_b, chan.taps_b)
-    sig_b = np.zeros(n_total, dtype=complex)
-    tau = chan.relative_delay
-    take = min(n_total - tau, len(sig_b_full))
-    if take > 0:
-        sig_b[tau : tau + take] = sig_b_full[:take]
-    out = sig_a * np.exp(2j * np.pi * chan.cfo_a * n / config.n_fft)
-    out += sig_b * np.exp(2j * np.pi * chan.cfo_b * n / config.n_fft)
+    sig = np.zeros((2, n_total), dtype=complex)
+    for node, delay in enumerate((0, chan.relative_delay)):
+        sig[node, delay:] = np.convolve(frames[node], chan.taps[node])[: n_total - delay]
+    out = (sig * np.exp(2j * np.pi * chan.cfo[:, None] * n / config.n_fft)).sum(axis=0)
     if sigma_n2 > 0:
         scale = np.sqrt(sigma_n2 / 2.0)
         out += scale * (rng.standard_normal(n_total) + 1j * rng.standard_normal(n_total))
@@ -161,9 +146,5 @@ def phase_trajectory(chan: ChannelRealization, config: FrameConfig) -> np.ndarra
     that midpoint minimizes the worst-case deviation within the window.
     Used for scoring estimates only, never shown to the receiver.
     """
-    m = np.arange(config.m_symbols)
-    mid = m * config.n_s + config.n_cp + (config.n_fft - 1) / 2.0
-    return np.stack(
-        [2 * np.pi * chan.cfo_a * mid / config.n_fft, 2 * np.pi * chan.cfo_b * mid / config.n_fft],
-        axis=1,
-    )
+    mid = np.arange(config.m_symbols) * config.n_s + config.n_cp + (config.n_fft - 1) / 2.0
+    return 2 * np.pi * chan.cfo * mid[:, None] / config.n_fft

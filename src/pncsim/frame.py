@@ -21,8 +21,7 @@ MODULATIONS = (BPSK, QPSK)
 # tones. Of the four 802.11 pilot positions, node A owns {-21, -7} and node
 # B owns {+7, +21}; each node nulls the other's pilot tones. Logical index
 # k (negative = upper half) sits in DFT bin k mod N.
-_PILOT_TONES_A = (-21, -7)
-_PILOT_TONES_B = (7, 21)
+_PILOT_TONES = ((-21, -7), (7, 21))
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,45 +30,51 @@ class Constellation:
 
     ``points[v]`` is the symbol whose bit group, read MSB first, encodes the
     integer ``v``.  BPSK maps bit 0 to +1 and bit 1 to -1; QPSK uses the
-    Gray labeling with 00 -> (1+1j)/sqrt(2).
+    Gray labeling with 00 -> (1+1j)/sqrt(2).  Each of the Q = ``size``
+    points carries log2(Q) bits.
     """
 
     points: np.ndarray
-    bits_per_symbol: int
 
     @property
     def size(self) -> int:
         return len(self.points)
 
+    @property
+    def bits_per_symbol(self) -> int:
+        return self.size.bit_length() - 1
+
 
 def make_constellation(modulation: str) -> Constellation:
     if modulation == BPSK:
         points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-        return Constellation(points, bits_per_symbol=1)
+        return Constellation(points)
     if modulation == QPSK:
         s = 1.0 / np.sqrt(2.0)
         # index = 2*b0 + b1, point = ((1-2*b0) + 1j*(1-2*b1))/sqrt(2)
         points = np.array([s + 1j * s, s - 1j * s, -s + 1j * s, -s - 1j * s])
-        return Constellation(points, bits_per_symbol=2)
+        return Constellation(points)
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class ToneMap:
-    """Data tones and each node's pilot tones among the ``FrameConfig.n_fft`` DFT bins.
+    """Data tones and the (node A, node B) pair of pilot tone sets among the
+    ``FrameConfig.n_fft`` DFT bins.
 
     A node sends the known pilot symbol +1 on its own pilot tones in every
     OFDM symbol and nothing on the other node's; every bin in none of the
     three sets is a null tone.  A custom per-node pilot split is just
-    another choice of the three sets.
+    another ``pilot_tones`` pair.
     """
 
     data_tones: np.ndarray
-    pilot_tones_a: np.ndarray
-    pilot_tones_b: np.ndarray
+    pilot_tones: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        tones = np.concatenate([self.data_tones, self.pilot_tones_a, self.pilot_tones_b]).tolist()
+        if len(self.pilot_tones) != 2:
+            raise ValueError("pilot_tones must hold one tone set per node")
+        tones = np.concatenate([self.data_tones, *self.pilot_tones]).tolist()
         if len(set(tones)) < len(tones) or not all(0 <= k < FrameConfig.n_fft for k in tones):
             raise ValueError(f"tone sets must be distinct bins in [0, {FrameConfig.n_fft})")
 
@@ -81,9 +86,9 @@ class ToneMap:
 def default_tone_map() -> ToneMap:
     """Build the 802.11a-style tone map of the FrameConfig.n_fft = 64 tone frame."""
     bins = lambda tones: np.array([k % FrameConfig.n_fft for k in tones])
-    pilots = _PILOT_TONES_A + _PILOT_TONES_B
+    pilots = sum(_PILOT_TONES, ())
     data = [k for k in range(-26, 27) if k != 0 and k not in pilots]
-    return ToneMap(bins(data), bins(_PILOT_TONES_A), bins(_PILOT_TONES_B))
+    return ToneMap(bins(data), tuple(bins(tones) for tones in _PILOT_TONES))
 
 
 @dataclass(frozen=True)
@@ -156,14 +161,15 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     return constellation.points[groups @ weights]
 
 
-def build_payload_grid(data_symbols: np.ndarray, tone_map: ToneMap, node: str) -> np.ndarray:
-    """Place one node's data symbols and its +1 pilots onto the (M, N) tone grid."""
-    if node not in ("a", "b"):
-        raise ValueError("node must be 'a' or 'b'")
+def build_payload_grid(data_symbols: np.ndarray, tone_map: ToneMap, node: int) -> np.ndarray:
+    """Place node ``node``'s (0 = A, 1 = B) data symbols and its +1 pilots
+    onto the (M, N) tone grid."""
+    if node not in (0, 1):
+        raise ValueError(f"node must be 0 (A) or 1 (B), got {node!r}")
     data_symbols = np.asarray(data_symbols).reshape(-1, tone_map.n_data)
     grid = np.zeros((len(data_symbols), FrameConfig.n_fft), dtype=complex)
     grid[:, tone_map.data_tones] = data_symbols
-    grid[:, tone_map.pilot_tones_a if node == "a" else tone_map.pilot_tones_b] = 1.0
+    grid[:, tone_map.pilot_tones[node]] = 1.0
     return grid
 
 
@@ -179,9 +185,10 @@ def transmit_frame(
     config: FrameConfig,
     tone_map: ToneMap,
     constellation: Constellation,
-    node: str,
+    node: int,
 ) -> np.ndarray:
-    """Coded bits -> constellation symbols -> pilot-bearing OFDM samples."""
+    """Node ``node``'s (0 = A, 1 = B) coded bits -> constellation symbols ->
+    pilot-bearing OFDM samples."""
     if coded_bits.size != config.n_coded_bits:
         raise ValueError("coded bit count does not fill the frame's data tones")
     symbols = map_bits(coded_bits, constellation)

@@ -26,6 +26,7 @@ from . import receiver as rx_mod
 from .codec import JointPairDecoder, RaCode, ra_encode
 
 _BATCH = 8  # stop-condition check granularity; fixed so results never depend on jobs
+TRIAL_BYTES_LIMIT = 2 * 2**30  # configs whose trial needs more are refused up front
 
 
 def _ini(section: str, default, *, key: str = "", none: str = "", lowercase: bool = False):
@@ -111,6 +112,9 @@ class ExperimentConfig:
             if not sigma_n2 < np.inf:
                 raise ValueError(f"snr_db = {snr_db}: noise out of range")
         self.receiver_config(sigma_n2=0.0)  # bp/particle/refine checks
+        need, limit = _trial_bytes(self, frame_cfg) / 2**30, TRIAL_BYTES_LIMIT / 2**30
+        if need > limit:
+            raise ValueError(f"one trial needs {need:.3g} GiB, over the {limit:g} GiB limit")
 
     @property
     def taps(self) -> int:
@@ -133,6 +137,22 @@ class ExperimentConfig:
             em_iters=max(k for _, k in self.reported()),
             **{name: getattr(self, name) for name in _RX_TUNABLES},
         )
+
+
+def _trial_bytes(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig) -> int:
+    """Estimated peak bytes of one trial's arrays: the (M, N_d, Q^2) evidence
+    and decoder tables; per coded bit, the decoder's messages and the sample
+    streams; with an M-step, the particle search's (M, L^2) arrays and its
+    cached 64 L^2-byte lattice tables; the K + 1 history rows.  The byte
+    counts were fitted, on the high side, to the tracemalloc peaks of single
+    trials at M = 10000 (BPSK and QPSK) and L = 800."""
+    m, l2, k = cfg.m_symbols, cfg.particle_l**2, max(k for _, k in cfg.reported())
+    tables = (1 + cfg.em_refine_passes) * (1 + cfg.particle_rounds)
+    tables = min(tables, rx_mod._lattice.cache_parameters()["maxsize"])
+    search = 40 * m * l2 + 64 * l2 * tables if k else 0
+    decode = 48 * m * frame_cfg.n_data * frame_cfg.constellation().size**2
+    decode += 512 * frame_cfg.n_coded_bits
+    return decode + search + (k + 1) * (16 * m + 8 * frame_cfg.k_info)
 
 
 # the ReceiverConfig fields an ExperimentConfig sets under the same name
@@ -233,24 +253,23 @@ def run_single_trial(ctx: _TrialContext, snr_idx: int, trial_idx: int) -> TrialM
     tau = cfg.tau
     if tau is None:
         tau = int(rng.integers(0, chan_mod.max_delay(cfg.taps) + 1))
-    cfo_a = cfo_b = 0.0
+    cfo = np.zeros(2)
     if cfg.delta > 0:
-        cfo_a, cfo_b = rng.uniform(-cfg.delta / 2, cfg.delta / 2, size=2)
-    chan = chan_mod.sample_selective(cfg.taps, cfg.decay, rng, tau, cfo_a, cfo_b)
+        cfo = rng.uniform(-cfg.delta / 2, cfg.delta / 2, size=2)
+    chan = chan_mod.sample_selective(cfg.taps, cfg.decay, rng, tau, cfo)
 
-    info_a = rng.integers(0, 2, fc.k_info)
-    info_b = rng.integers(0, 2, fc.k_info)
-    frame_a = frame_mod.transmit_frame(
-        ra_encode(info_a, ctx.decoder.ra), fc, ctx.tone_map, ctx.decoder.constellation, "a"
-    )
-    frame_b = frame_mod.transmit_frame(
-        ra_encode(info_b, ctx.decoder.ra), fc, ctx.tone_map, ctx.decoder.constellation, "b"
-    )
-    samples = chan_mod.simulate_uplink(frame_a, frame_b, chan, ctx.sigma_n2[snr_idx], rng, fc)
+    info, frames = [], []
+    for node in range(2):  # node A's bits are drawn first
+        info.append(rng.integers(0, 2, fc.k_info))
+        coded = ra_encode(info[node], ctx.decoder.ra)
+        frames.append(
+            frame_mod.transmit_frame(coded, fc, ctx.tone_map, ctx.decoder.constellation, node)
+        )
+    samples = chan_mod.simulate_uplink(frames, chan, ctx.sigma_n2[snr_idx], rng, fc)
     freq = rx_mod.demodulate(samples, fc)
     out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, ctx.rx_cfgs[snr_idx])
     truth = chan_mod.phase_trajectory(chan, fc)
-    true_xor = np.bitwise_xor(info_a, info_b)
+    true_xor = np.bitwise_xor(*info)
     errors = np.array(
         [int(np.sum(out.xor_history[k] != true_xor)) for k in ctx.report_ks]
     )

@@ -96,23 +96,18 @@ def demodulate(samples: np.ndarray, config: FrameConfig) -> np.ndarray:
     return np.fft.fft(blocks, norm="ortho", axis=1)
 
 
-def ls_pilot_phase(
-    r: np.ndarray,
-    tone_map: ToneMap,
-    h_a: np.ndarray,
-    h_b: np.ndarray,
-) -> np.ndarray:
+def ls_pilot_phase(r: np.ndarray, tone_map: ToneMap, h_freq: np.ndarray) -> np.ndarray:
     """Least-squares pilot correlation phases, independently per node and symbol.
 
     Returns the (m_symbols, 2) phase pairs of the demodulated frame ``r`` in
     [0, 2pi), column 0 = node A.  The pilot symbol is +1, so the correlation
-    reference is the known channel on the node's pilot tones and the angle
-    is the phase drift alone.  A zero-magnitude correlation falls back to
-    the previous symbol's estimate (0 for the first symbol).
+    reference is the known channel, row u of the (2, N) ``h_freq``, on node
+    u's pilot tones, and the angle is the phase drift alone.  A
+    zero-magnitude correlation falls back to the previous symbol's estimate
+    (0 for the first symbol).
     """
     theta = np.empty((r.shape[0], 2))
-    refs = ((tone_map.pilot_tones_a, h_a), (tone_map.pilot_tones_b, h_b))
-    for col, (tones, h) in enumerate(refs):
+    for col, (tones, h) in enumerate(zip(tone_map.pilot_tones, h_freq)):
         corr = r[:, tones] @ np.conj(h[tones])
         theta[:, col] = np.angle(corr)
         for m in np.flatnonzero(corr == 0):  # in order, so a run carries one estimate
@@ -141,7 +136,7 @@ def pair_evidence(
     q = constellation.size
     # each node's (M, N_d, Q) hypotheses; entry a*Q+b of a tone is their pair
     # sum, built in one complex buffer that the residual then overwrites
-    h = np.stack([chan.h_freq_a[data], chan.h_freq_b[data]], axis=1)  # (N_d, 2)
+    h = chan.h_freq[:, data].T  # (N_d, 2)
     hyp = (np.exp(1j * theta)[:, None, :] * h)[..., None] * constellation.points
     resid = hyp[:, :, 0, :, None] + hyp[:, :, 1, None, :]
     np.subtract(r[:, :, None, None], resid, out=resid)
@@ -162,9 +157,10 @@ class PhaseObjective:
     hypothesis: data tones averaged over the decoder's joint symbol
     posterior, and each node's pilot tones against the known +1 that node
     sends on its own pilot tones (the other node sends nothing on them).
-    ``pilot_a``/``pilot_b`` are (r_p, h_p) pairs of the received pilot
-    tones and the node's channel there, taken from a ``ToneMap``, so a
-    custom per-node pilot split is a three-field ``ToneMap``.  Larger is
+    ``h_data`` is the (2, N_d) channel pair on the data tones, and
+    ``pilots`` holds, node A first, each node's (r_p, h_p) pair of the
+    received pilot tones and its channel there, taken from a ``ToneMap``;
+    ``pilots=()`` leaves the data-only objective.  Larger is
     better; exactly 0 only for a perfect noiseless fit.  The sums over
     tones and symbol pairs are folded into four sufficient statistics c0,
     s_a, s_b, s_ab, so evaluation is O(1) per phase pair.  They are (M,)
@@ -175,12 +171,10 @@ class PhaseObjective:
     def __init__(
         self,
         r_data: np.ndarray,
-        h_a_data: np.ndarray,
-        h_b_data: np.ndarray,
+        h_data: np.ndarray,
         posterior: np.ndarray,
         constellation: Constellation,
-        pilot_a: tuple[np.ndarray, np.ndarray] | None = None,
-        pilot_b: tuple[np.ndarray, np.ndarray] | None = None,
+        pilots=(),
     ):
         # All but the posterior is fixed for a frame and kept for _fit: one
         # real matmul gives each tone's posterior means of |X_a|^2, |X_b|^2,
@@ -191,15 +185,13 @@ class PhaseObjective:
         xa, xb = points.repeat(q), np.tile(points, q)  # joint entry a*Q + b
         self._terms = np.ascontiguousarray(pair(xa, xb)).view(np.float64)
         self._r_conj = np.conj(r_data)[..., None]
-        self._h_pair = pair(h_a_data, h_b_data)
+        self._h_pair = pair(*h_data)
         self._r_energy = (np.abs(r_data) ** 2).sum(axis=-1)
         # pilot tones: the owner's +1 through its channel, silence from the other
         self._pilots = []
-        for col, pilot in ((2, pilot_a), (3, pilot_b)):
-            if pilot is not None:
-                r_p, h_p = pilot
-                energy = (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
-                self._pilots.append((col, energy, np.conj(r_p) @ h_p))
+        for col, (r_p, h_p) in zip((2, 3), pilots):
+            energy = (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
+            self._pilots.append((col, energy, np.conj(r_p) @ h_p))
         self._fit(posterior)
 
     def _fit(self, posterior: np.ndarray) -> PhaseObjective:
@@ -230,18 +222,15 @@ def build_phase_objective(
     """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, or
     for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors:
     each node sends the known +1 on its own ``tone_map`` pilot tones and
-    nothing on the other node's, so any per-node pilot split, a three-field
-    ``ToneMap``, anchors the phases the same way.  ``reuse``, an objective
-    built from the same frame, lends its fixed terms, so only the
+    nothing on the other node's, so any per-node pilot split, another
+    ``pilot_tones`` pair, anchors the phases the same way.  ``reuse``, an
+    objective built from the same frame, lends its fixed terms, so only the
     posterior's statistics are computed."""
     if reuse is not None:
         return copy.copy(reuse)._fit(posterior)
     data = tone_map.data_tones
-    pa, pb = tone_map.pilot_tones_a, tone_map.pilot_tones_b
-    pilot_a = (r[..., pa], chan.h_freq_a[pa])
-    pilot_b = (r[..., pb], chan.h_freq_b[pb])
-    h_a, h_b = chan.h_freq_a[data], chan.h_freq_b[data]
-    return PhaseObjective(r[..., data], h_a, h_b, posterior, constellation, pilot_a, pilot_b)
+    pilots = [(r[..., tones], h[tones]) for tones, h in zip(tone_map.pilot_tones, chan.h_freq)]
+    return PhaseObjective(r[..., data], chan.h_freq[:, data], posterior, constellation, pilots)
 
 
 @functools.lru_cache(maxsize=64)
@@ -390,7 +379,7 @@ def em_bp_receive(
     m_symbols = r.shape[0]
     k_total = rx_cfg.em_iters
 
-    theta = ls_pilot_phase(r, tone_map, chan.h_freq_a, chan.h_freq_b)
+    theta = ls_pilot_phase(r, tone_map, chan.h_freq)
     theta_history = np.empty((k_total + 1, m_symbols, 2))
     xor_history = np.empty((k_total + 1, decoder.ra.k_info), dtype=np.int64)
     theta_history[0] = theta

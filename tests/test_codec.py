@@ -434,11 +434,11 @@ def flat_frame_evidence(mod, ebn0_db, seed):
     rng = np.random.default_rng(seed)
     frames = [
         transmit_frame(ra_encode(rng.integers(0, 2, cfg.k_info), ra), cfg, tm, con, node)
-        for node in "ab"
+        for node in range(2)
     ]
-    chan = sample_flat(rng, tau=3, cfo_a=0.02, cfo_b=-0.03)
+    chan = sample_flat(rng, tau=3, cfo=(0.02, -0.03))
     sigma_n2 = noise_var(ebn0_db, 1 / cfg.code_rate_inv, con.bits_per_symbol)
-    r = demodulate(simulate_uplink(*frames, chan, sigma_n2, rng, cfg), cfg)
+    r = demodulate(simulate_uplink(frames, chan, sigma_n2, rng, cfg), cfg)
     theta, sigma_w2 = phase_trajectory(chan, cfg), effective_noise_var(sigma_n2, 0.1)
     return JointPairDecoder(ra, con), pair_evidence(r, chan, tm, con, theta, sigma_w2)
 

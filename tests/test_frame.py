@@ -20,7 +20,7 @@ from pncsim.frame import (
 
 def null_tones(tm: ToneMap) -> np.ndarray:
     """The bins in none of the three tone sets."""
-    used = np.concatenate([tm.data_tones, tm.pilot_tones_a, tm.pilot_tones_b])
+    used = np.concatenate([tm.data_tones, *tm.pilot_tones])
     return np.setdiff1d(np.arange(FrameConfig.n_fft), used)
 
 
@@ -66,21 +66,21 @@ class TestToneMap:
     def test_partition(self):
         tm = default_tone_map()
         all_tones = np.concatenate(
-            [tm.data_tones, tm.pilot_tones_a, tm.pilot_tones_b, null_tones(tm)]
+            [tm.data_tones, *tm.pilot_tones, null_tones(tm)]
         )
         assert sorted(all_tones.tolist()) == list(range(64))
 
     def test_counts(self):
         tm = default_tone_map()
         assert len(tm.data_tones) == 48
-        assert len(tm.pilot_tones_a) == 2
-        assert len(tm.pilot_tones_b) == 2
+        assert len(tm.pilot_tones[0]) == 2
+        assert len(tm.pilot_tones[1]) == 2
         assert len(null_tones(tm)) == 12
 
     def test_pilot_bins_are_80211_positions(self):
         tm = default_tone_map()
-        assert set(tm.pilot_tones_a.tolist()) == {(-21) % 64, (-7) % 64}
-        assert set(tm.pilot_tones_b.tolist()) == {7, 21}
+        assert set(tm.pilot_tones[0].tolist()) == {(-21) % 64, (-7) % 64}
+        assert set(tm.pilot_tones[1].tolist()) == {7, 21}
 
     def test_dc_and_guard_zeroed(self):
         tm = default_tone_map()
@@ -92,19 +92,25 @@ class TestToneMap:
     def test_rejects_shared_or_out_of_range_bins_and_unknown_node(self):
         """The three sets must be distinct bins in [0, 64): a data tone reused
         as a pilot, a pilot shared by both nodes and bins 64 and -1 are
-        refused; and only nodes "a" and "b" send a payload grid."""
+        refused; and only nodes 0 (A) and 1 (B) send a payload grid."""
         tm = default_tone_map()
         with pytest.raises(ValueError, match="node must be"):
-            build_payload_grid(np.ones(tm.n_data), tm, "c")
-        data, pa, pb = tm.data_tones, tm.pilot_tones_a, tm.pilot_tones_b
-        for sets in (
-            (data, np.append(pa, data[0]), pb),  # data/pilot overlap
-            (data, pa, np.append(pb, pa[0])),  # A/B pilot overlap
-            (data, pa, np.append(pb, 64)),  # outside [0, 64)
-            (data, np.append(pa, -1), pb),
+            build_payload_grid(np.ones(tm.n_data), tm, 2)
+        data, (pa, pb) = tm.data_tones, tm.pilot_tones
+        for pilots in (
+            (np.append(pa, data[0]), pb),  # data/pilot overlap
+            (pa, np.append(pb, pa[0])),  # A/B pilot overlap
+            (pa, np.append(pb, 64)),  # outside [0, 64)
+            (np.append(pa, -1), pb),
         ):
             with pytest.raises(ValueError, match="distinct bins"):
-                ToneMap(*sets)
+                ToneMap(data, pilots)
+
+    def test_rejects_pilot_sets_that_are_not_a_pair(self):
+        tm = default_tone_map()
+        for pilots in ((tm.pilot_tones[0],), (*tm.pilot_tones, np.array([30]))):
+            with pytest.raises(ValueError, match="one tone set per node"):
+                ToneMap(tm.data_tones, pilots)
 
 
 class TestConstellation:
@@ -112,6 +118,12 @@ class TestConstellation:
     def test_unit_average_energy(self, mod):
         con = make_constellation(mod)
         assert abs(np.mean(np.abs(con.points) ** 2) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("mod, bits", [(BPSK, 1), (QPSK, 2)])
+    def test_bits_per_symbol_follows_size(self, mod, bits):
+        con = make_constellation(mod)
+        assert con.bits_per_symbol == bits
+        assert con.size == 2**bits
 
     def test_bpsk_convention(self):
         con = make_constellation(BPSK)
@@ -155,17 +167,17 @@ class TestPayloadGrid:
         tm, con = cfg.tone_map(), cfg.constellation()
         rng = np.random.default_rng(0)
         syms = map_bits(rng.integers(0, 2, cfg.n_coded_bits), con)
-        grid_a = build_payload_grid(syms, tm, "a")
-        grid_b = build_payload_grid(syms, tm, "b")
-        np.testing.assert_allclose(grid_a[:, tm.pilot_tones_a], 1.0)
-        np.testing.assert_allclose(grid_a[:, tm.pilot_tones_b], 0.0)  # nulls the other node's
-        np.testing.assert_allclose(grid_b[:, tm.pilot_tones_b], 1.0)
-        np.testing.assert_allclose(grid_b[:, tm.pilot_tones_a], 0.0)
+        grid_a = build_payload_grid(syms, tm, 0)
+        grid_b = build_payload_grid(syms, tm, 1)
+        np.testing.assert_allclose(grid_a[:, tm.pilot_tones[0]], 1.0)
+        np.testing.assert_allclose(grid_a[:, tm.pilot_tones[1]], 0.0)  # nulls the other node's
+        np.testing.assert_allclose(grid_b[:, tm.pilot_tones[1]], 1.0)
+        np.testing.assert_allclose(grid_b[:, tm.pilot_tones[0]], 0.0)
         np.testing.assert_allclose(grid_a[:, null_tones(tm)], 0.0)
 
     def test_data_symbols_in_order(self):
         cfg = default_config(BPSK, 1, 0)
         tm, con = cfg.tone_map(), cfg.constellation()
         syms = map_bits(np.arange(48) % 2, con)
-        grid = build_payload_grid(syms, tm, "a")
+        grid = build_payload_grid(syms, tm, 0)
         np.testing.assert_allclose(grid[0, tm.data_tones], syms)

@@ -92,6 +92,14 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(em_bp_k=(7, 1))
         assert cfg.reported() == [("baseline", 0), ("em_bp", 1), ("em_bp", 7)]
 
+    def test_trial_size_limit(self):
+        """A config whose trial would hold more than TRIAL_BYTES_LIMIT bytes of
+        arrays is refused; the particle search counts only with an M-step."""
+        with pytest.raises(ValueError, match=r"one trial needs [\d.]+ GiB, over the 2 GiB limit"):
+            ExperimentConfig(particle_l=3000)
+        ExperimentConfig(particle_l=3000, receivers=("baseline",))
+        ExperimentConfig(particle_l=1000)
+
 
 def _tiny_config(**kw):
     defaults = dict(
@@ -128,10 +136,10 @@ def test_cp_delay_rule_is_shared(tmp_path, monkeypatch, taps):
     for tau in range(tau_max + 2):
         chan = channel.sample_selective(taps, 0.5, rng, tau)
         if tau <= tau_max:
-            channel.simulate_uplink(frame, frame, chan, 0.1, rng, fc)
+            channel.simulate_uplink((frame, frame), chan, 0.1, rng, fc)
         else:
             with pytest.raises(ValueError, match="cyclic prefix"):
-                channel.simulate_uplink(frame, frame, chan, 0.1, rng, fc)
+                channel.simulate_uplink((frame, frame), chan, 0.1, rng, fc)
 
     drawn = []
 
@@ -145,6 +153,36 @@ def test_cp_delay_rule_is_shared(tmp_path, monkeypatch, taps):
         with pytest.raises(_Drawn):
             harness.run_single_trial(ctx, 0, trial_idx)
     assert set(drawn) == set(range(tau_max + 1))
+
+
+# (receiver, em_iters, snr_db, errors, bits, frames, mse_a, mse_b) per row of
+# each pinned-seed run of TestRunExperiment.test_pinned_seed_golden
+_GOLDEN_ROWS = {
+    "tiny-selective": [
+        ("baseline", 0, 6.0, 57, 256, 4, 0.4033697682690225, 0.09243666901104974),
+        ("baseline", 0, 10.0, 0, 256, 4, 0.02165348458046274, 0.06506893837894917),
+        ("em_bp", 1, 6.0, 47, 256, 4, 0.3248138249482501, 0.026782881058414705),
+        ("em_bp", 1, 10.0, 0, 256, 4, 0.002374008426734928, 0.0013359237173776366),
+        ("em_bp", 2, 6.0, 43, 256, 4, 0.3335534129013769, 0.01624028003121785),
+        ("em_bp", 2, 10.0, 0, 256, 4, 0.0026310007212527776, 0.000894425290965068),
+    ],
+    "flat-qpsk-em7": [
+        ("baseline", 0, 8.0, 1254, 7680, 24, 0.20714726075508172, 0.2380986899457508),
+        ("em_bp", 1, 8.0, 1205, 7680, 24, 0.18549875348447542, 0.2138000224935542),
+        ("em_bp", 7, 8.0, 1157, 7680, 24, 0.17760590241821253, 0.2122815467419278),
+    ],
+    "bpsk-pilot-only": [
+        ("baseline", 0, 8.0, 647, 3840, 24, 0.3415182058195861, 0.3349610224299652),
+    ],
+    "selective-refine-sweep": [
+        ("baseline", 0, 6.0, 1554, 7680, 24, 0.16177894773591026, 0.17720330240440643),
+        ("baseline", 0, 10.0, 274, 7680, 24, 0.07983356145508118, 0.1317950328924206),
+        ("em_bp", 1, 6.0, 1066, 7680, 24, 0.09469977146715226, 0.09962201832055044),
+        ("em_bp", 1, 10.0, 134, 7680, 24, 0.029813847693346662, 0.06626814233148288),
+        ("em_bp", 7, 6.0, 367, 7680, 24, 0.06286592827582294, 0.026213447106932578),
+        ("em_bp", 7, 10.0, 111, 7680, 24, 0.03603065666955303, 0.05820279112481713),
+    ],
+}
 
 
 class TestRunExperiment:
@@ -390,10 +428,18 @@ class TestRunExperiment:
         cfg = _tiny_config(tau=12, channel_kind="selective", trials_per_snr=3)
         run_experiment(cfg)  # delay-within-CP must hold for every trial
 
-    def test_pinned_seed_golden(self):
+    @pytest.mark.parametrize("case", list(_GOLDEN_ROWS))
+    def test_pinned_seed_golden(self, case):
         """Exact rows for a pinned seed: a refactor that claims to keep the
-        CSV unchanged must reproduce them bit for bit.  The config covers
-        the baseline, the M-step and the refine path on a selective channel.
+        CSV unchanged must reproduce them bit for bit, every field but
+        ``seconds`` (``ber`` is ``errors / bits``).  The tiny config covers
+        the baseline, the M-step and the refine path on a selective channel;
+        the three benchmark workloads, at master seed 5 with 24 trials per
+        point on two jobs, add flat QPSK, the BPSK pilot-only baseline
+        (4-entry joint tables) and the stopping rule.  The workload rows
+        were recorded once, with the two nodes still written out per node in
+        the channel, frame, receiver and trial code.  The history below
+        concerns the tiny config's rows.
         The em_bp MSEs were re-recorded when the decoder began building its
         evidence messages from matmuls: they moved in the last digits only,
         and every error, bit and frame count stayed the same.  They were
@@ -428,25 +474,24 @@ class TestRunExperiment:
                          mse_b 0.016240280031217868 -> 0.01624028003121785;
         (em_bp, 2, 10.0) mse_a 0.0026310007212528076 -> 0.0026310007212527776,
                          mse_b 0.0008944252909650478 -> 0.000894425290965068."""
-        cfg = _tiny_config(
-            snr_db_list=(6.0, 10.0),
-            em_bp_k=(1, 2),
-            channel_kind="selective",
-            decay=0.25,
-            em_refine_passes=1,
-        )
+        if case == "tiny-selective":
+            cfg = _tiny_config(
+                snr_db_list=(6.0, 10.0),
+                em_bp_k=(1, 2),
+                channel_kind="selective",
+                decay=0.25,
+                em_refine_passes=1,
+            )
+        else:
+            cfg = load_config(ROOT / "perfbench" / "workloads" / f"{case}.ini")
+            cfg = dataclasses.replace(cfg, master_seed=5, trials_per_snr=24, jobs=2)
+        rows = run_experiment(cfg).rows
         got = [
             (r.receiver, r.em_iters, r.snr_db, r.errors, r.bits, r.frames, r.mse_a, r.mse_b)
-            for r in run_experiment(cfg).rows
+            for r in rows
         ]
-        assert got == [
-            ("baseline", 0, 6.0, 57, 256, 4, 0.4033697682690225, 0.09243666901104974),
-            ("baseline", 0, 10.0, 0, 256, 4, 0.02165348458046274, 0.06506893837894917),
-            ("em_bp", 1, 6.0, 47, 256, 4, 0.3248138249482501, 0.026782881058414705),
-            ("em_bp", 1, 10.0, 0, 256, 4, 0.002374008426734928, 0.0013359237173776366),
-            ("em_bp", 2, 6.0, 43, 256, 4, 0.3335534129013769, 0.01624028003121785),
-            ("em_bp", 2, 10.0, 0, 256, 4, 0.0026310007212527776, 0.000894425290965068),
-        ]
+        assert got == _GOLDEN_ROWS[case]
+        assert all(r.ber == r.errors / r.bits for r in rows)
 
 
 class TestCsv:
@@ -652,6 +697,8 @@ class TestConfigFileAndCli:
             ("[run]\n", ["--snr", "4, x"], None),
             ("[receiver]\nem_bp_k = 2, 2\n", [], "em_bp_k"),
             ("[run]\n", ["--out", "."], "is a directory"),
+            ("[receiver]\nparticle_l = 3000\n", [], "GiB limit"),
+            ("[frame]\nm_symbols = 2000000\n", [], "GiB limit"),
         ],
         ids=[
             "empty-snr", "tau-past-cp", "taps-past-cp", "flat-taps-negative",
@@ -662,7 +709,8 @@ class TestConfigFileAndCli:
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
             "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
             "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
-            "em-bp-k-repeated", "cli-out-is-dir",
+            "em-bp-k-repeated", "cli-out-is-dir", "trial-too-big-particles",
+            "trial-too-big-frame",
         ],
     )
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys, monkeypatch, text, args, named):

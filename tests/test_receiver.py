@@ -49,11 +49,9 @@ def cfg():
 
 def unit_taps_channel(cfo_a=0.0, cfo_b=0.0, tau=0, phase_a=0.0, phase_b=0.0):
     return ChannelRealization(
-        taps_a=np.array([np.exp(1j * phase_a)]),
-        taps_b=np.array([np.exp(1j * phase_b)]),
+        taps=np.exp(1j * np.array([[phase_a], [phase_b]])),
         relative_delay=tau,
-        cfo_a=cfo_a,
-        cfo_b=cfo_b,
+        cfo=(cfo_a, cfo_b),
     )
 
 
@@ -103,22 +101,22 @@ def _received_with_phases(cfg, theta, chan, seed=0, sigma_n2=0.0):
     info_a = rng.integers(0, 2, cfg.k_info)
     info_b = rng.integers(0, 2, cfg.k_info)
     ga = np.fft.fft(
-        transmit_frame(ra_encode(info_a, ra), cfg, tm, con, "a").reshape(
+        transmit_frame(ra_encode(info_a, ra), cfg, tm, con, 0).reshape(
             cfg.m_symbols, cfg.n_s
         )[:, cfg.n_cp :],
         norm="ortho",
         axis=1,
     )
     gb = np.fft.fft(
-        transmit_frame(ra_encode(info_b, ra), cfg, tm, con, "b").reshape(
+        transmit_frame(ra_encode(info_b, ra), cfg, tm, con, 1).reshape(
             cfg.m_symbols, cfg.n_s
         )[:, cfg.n_cp :],
         norm="ortho",
         axis=1,
     )
     r = (
-        np.exp(1j * theta[:, 0])[:, None] * ga * chan.h_freq_a[None, :]
-        + np.exp(1j * theta[:, 1])[:, None] * gb * chan.h_freq_b[None, :]
+        np.exp(1j * theta[:, 0])[:, None] * ga * chan.h_freq[0][None, :]
+        + np.exp(1j * theta[:, 1])[:, None] * gb * chan.h_freq[1][None, :]
     )
     if sigma_n2 > 0:
         r = r + np.sqrt(sigma_n2 / 2) * (
@@ -134,7 +132,7 @@ class TestLsPilotPhase:
         theta = np.zeros((cfg.m_symbols, 2))
         theta[:, 0] = np.pi / 4
         freq, _, _ = _received_with_phases(cfg, theta, chan)
-        est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
+        est = ls_pilot_phase(freq, tm, chan.h_freq)
         np.testing.assert_allclose(est[:, 0], np.pi / 4, atol=1e-9)
         np.testing.assert_allclose(np.exp(1j * est[:, 1]), 1.0, atol=1e-9)
 
@@ -143,7 +141,7 @@ class TestLsPilotPhase:
         chan = unit_taps_channel(phase_a=0.3)
         theta = np.zeros((cfg.m_symbols, 2))
         freq, _, _ = _received_with_phases(cfg, theta, chan)
-        est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
+        est = ls_pilot_phase(freq, tm, chan.h_freq)
         np.testing.assert_allclose(np.exp(1j * est), 1.0, atol=1e-9)
 
     def test_wrapped_to_two_pi(self, cfg):
@@ -151,7 +149,7 @@ class TestLsPilotPhase:
         chan = unit_taps_channel()
         theta = np.full((cfg.m_symbols, 2), -0.5)  # stored as 2*pi - 0.5
         freq, _, _ = _received_with_phases(cfg, theta, chan)
-        est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
+        est = ls_pilot_phase(freq, tm, chan.h_freq)
         assert np.all(est >= 0.0) and np.all(est < 2 * np.pi)
         np.testing.assert_allclose(est, 2 * np.pi - 0.5, atol=1e-9)
 
@@ -164,8 +162,7 @@ class TestLsPilotPhase:
         def custom_map(n_pilots_a):
             return ToneMap(
                 data_tones=base.data_tones,
-                pilot_tones_a=base.pilot_tones_a[:n_pilots_a],
-                pilot_tones_b=base.pilot_tones_b,
+                pilot_tones=(base.pilot_tones[0][:n_pilots_a], base.pilot_tones[1]),
             )
 
         sigma2 = 0.1  # per-tone noise, 10 dB below the unit pilot power
@@ -177,13 +174,11 @@ class TestLsPilotPhase:
             samples = []
             for _ in range(10_000):
                 r = np.zeros((1, 64), dtype=complex)
-                r[0, tm.pilot_tones_a] = np.exp(1j * true_theta)
+                r[0, tm.pilot_tones[0]] = np.exp(1j * true_theta)
                 r += np.sqrt(sigma2 / 2) * (
                     rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
                 )
-                est = ls_pilot_phase(
-                    r, tm, np.ones(64, complex), np.ones(64, complex)
-                )
+                est = ls_pilot_phase(r, tm, np.ones((2, 64), complex))
                 samples.append(np.angle(np.exp(1j * (est[0, 0] - true_theta))))
             errs[n_pilots] = np.asarray(samples)
         for n_pilots in (1, 2):
@@ -194,7 +189,7 @@ class TestLsPilotPhase:
         tm = cfg.tone_map()
         freq = np.zeros((cfg.m_symbols, 64), dtype=complex)
         with pytest.warns(UserWarning, match="zero pilot correlation"):
-            est = ls_pilot_phase(freq, tm, np.ones(64, complex), np.ones(64, complex))
+            est = ls_pilot_phase(freq, tm, np.ones((2, 64), complex))
         np.testing.assert_array_equal(est, 0.0)
 
     def test_zero_correlation_carries_previous_estimate(self):
@@ -206,11 +201,11 @@ class TestLsPilotPhase:
         chan = unit_taps_channel(phase_a=0.9, phase_b=-1.2)
         theta = np.linspace(0.3, 1.8, cfg.m_symbols)[:, None] * [1.0, -1.0]
         freq, _, _ = _received_with_phases(cfg, theta, chan)
-        clean = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
-        freq[np.ix_([0, 3, 4], tm.pilot_tones_a)] = 0.0
+        clean = ls_pilot_phase(freq, tm, chan.h_freq)
+        freq[np.ix_([0, 3, 4], tm.pilot_tones[0])] = 0.0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
+            est = ls_pilot_phase(freq, tm, chan.h_freq)
         assert [str(w.message) for w in caught] == [
             "zero pilot correlation; reusing previous phase estimate"
         ] * 3
@@ -243,8 +238,8 @@ def reference_pair_evidence(r, chan, tone_map, constellation, theta, sigma_w2):
     xa, xb = constellation.points[joint // q], constellation.points[joint % q]
     rot_a = np.exp(1j * theta[:, 0])[:, None, None]
     rot_b = np.exp(1j * theta[:, 1])[:, None, None]
-    hyp = rot_a * chan.h_freq_a[data][None, :, None] * xa[None, None, :]
-    hyp += rot_b * chan.h_freq_b[data][None, :, None] * xb[None, None, :]
+    hyp = rot_a * chan.h_freq[0][data][None, :, None] * xa[None, None, :]
+    hyp += rot_b * chan.h_freq[1][data][None, :, None] * xb[None, None, :]
     log_k = -np.abs(r[:, :, None] - hyp) ** 2 / sigma_w2
     log_k -= log_k.max(axis=2, keepdims=True)
     tables = np.exp(log_k)
@@ -282,8 +277,8 @@ class TestPairEvidence:
                 tone = tm.data_tones[d]
                 expect = oracle_evidence(
                     r[m, tone],
-                    chan.h_freq_a[tone],
-                    chan.h_freq_b[tone],
+                    chan.h_freq[0][tone],
+                    chan.h_freq[1][tone],
                     theta[m],
                     con.points,
                     sigma_w2,
@@ -369,7 +364,7 @@ class TestPhaseObjective:
 
     def test_matches_brute_force(self, cfg):
         con, r, h_a, h_b, post = self._random_setup(cfg, 21)
-        obj = PhaseObjective(r, h_a, h_b, post, con)
+        obj = PhaseObjective(r, (h_a, h_b), post, con)
         rng = np.random.default_rng(22)
         for _ in range(6):
             th = rng.uniform(0, 2 * np.pi, 2)
@@ -388,23 +383,23 @@ class TestPhaseObjective:
         th = (1.1, 4.2)
         got = build_phase_objective(r_sym, chan, tm, con, post).value(*th)
         expect = oracle_objective(
-            th, r_sym[tm.data_tones], chan.h_freq_a[tm.data_tones],
-            chan.h_freq_b[tm.data_tones], post, con.points,
+            th, r_sym[tm.data_tones], chan.h_freq[0][tm.data_tones],
+            chan.h_freq[1][tm.data_tones], post, con.points,
         )
-        for tone in tm.pilot_tones_a:
-            hyp = np.exp(1j * th[0]) * chan.h_freq_a[tone]
+        for tone in tm.pilot_tones[0]:
+            hyp = np.exp(1j * th[0]) * chan.h_freq[0][tone]
             expect -= abs(r_sym[tone] - hyp) ** 2
-        for tone in tm.pilot_tones_b:
-            hyp = np.exp(1j * th[1]) * chan.h_freq_b[tone]
+        for tone in tm.pilot_tones[1]:
+            hyp = np.exp(1j * th[1]) * chan.h_freq[1][tone]
             expect -= abs(r_sym[tone] - hyp) ** 2
         assert abs(got - expect) < 1e-10
         data = tm.data_tones
         got_data_only = PhaseObjective(
-            r_sym[data], chan.h_freq_a[data], chan.h_freq_b[data], post, con
+            r_sym[data], chan.h_freq[:, data], post, con
         ).value(*th)
         expect_data_only = oracle_objective(
-            th, r_sym[tm.data_tones], chan.h_freq_a[tm.data_tones],
-            chan.h_freq_b[tm.data_tones], post, con.points,
+            th, r_sym[tm.data_tones], chan.h_freq[0][tm.data_tones],
+            chan.h_freq[1][tm.data_tones], post, con.points,
         )
         assert abs(got_data_only - expect_data_only) < 1e-10
 
@@ -424,7 +419,7 @@ class TestPhaseObjective:
         post = np.zeros((len(data), q * q))
         post[np.arange(len(data)), joint[m]] = 1.0
         obj = PhaseObjective(
-            freq[m, data], chan.h_freq_a[data], chan.h_freq_b[data], post, con
+            freq[m, data], chan.h_freq[:, data], post, con
         )
         at_truth = obj.value(theta[m, 0], theta[m, 1])
         assert abs(at_truth) < 1e-9
@@ -439,10 +434,10 @@ class TestPhaseObjective:
         con, r, h_a, h_b, _ = self._random_setup(cfg, 25)
         q2 = con.size**2
         uniform = np.full((len(r), q2), 1.0 / q2)
-        obj = PhaseObjective(r, h_a, h_b, uniform, con)
+        obj = PhaseObjective(r, (h_a, h_b), uniform, con)
         rng = np.random.default_rng(26)
         perm = rng.permutation(q2)
-        obj_perm = PhaseObjective(r, h_a, h_b, uniform[:, perm], con)
+        obj_perm = PhaseObjective(r, (h_a, h_b), uniform[:, perm], con)
         th = rng.uniform(0, 2 * np.pi, 2)
         assert abs(obj.value(th[0], th[1]) - obj_perm.value(th[0], th[1])) < 1e-10
 
@@ -462,12 +457,12 @@ class TestPhaseObjective:
         per_symbol = 0.0
         for m in range(cfg.m_symbols):
             obj = PhaseObjective(
-                r[m, data], chan.h_freq_a[data], chan.h_freq_b[data], post[m], con
+                r[m, data], chan.h_freq[:, data], post[m], con
             )
             per_symbol += obj.value(theta[m, 0], theta[m, 1])
         frame_total = sum(
             oracle_objective(
-                theta[m], r[m, data], chan.h_freq_a[data], chan.h_freq_b[data],
+                theta[m], r[m, data], chan.h_freq[0][data], chan.h_freq[1][data],
                 post[m], con.points,
             )
             for m in range(cfg.m_symbols)
@@ -492,7 +487,7 @@ def _noiseless_objective(peak, con, seed, n_tones=48):
     )
     post = np.zeros((*ia.shape, q * q))
     np.put_along_axis(post, (ia * q + ib)[..., None], 1.0, axis=-1)
-    return PhaseObjective(r, h_a, h_b, post, con)
+    return PhaseObjective(r, (h_a, h_b), post, con)
 
 
 class TestParticleMStep:
@@ -538,11 +533,11 @@ class TestParticleMStep:
         symbol's (N_d,) row with scalar statistics."""
         cfg = default_config(mod, 4, 0)
         rng = np.random.default_rng(38)
-        r, h_a, h_b, post, con = self._random_objectives(cfg, rng, m)
+        r, (h_a, h_b), post, con = self._random_objectives(cfg, rng, m)
         theta = rng.uniform(0, 2 * np.pi, (m, 2))
         if m == 1:
             r, post, theta = r[0], post[0], theta[0]
-        obj = PhaseObjective(r, h_a, h_b, post, con)
+        obj = PhaseObjective(r, (h_a, h_b), post, con)
         kernel = receiver_mod._lattice_values
         errors = []
 
@@ -590,8 +585,8 @@ class TestParticleMStep:
         (2, M, L^2) planes picks, over the full plane and refine windows;
         positions agree to rounding (1e-12 rad)."""
         rng = np.random.default_rng(39)
-        r, h_a, h_b, post, con = self._random_objectives(default_config(mod, 4, 0), rng, 50)
-        obj = PhaseObjective(r, h_a, h_b, post, con)
+        r, (h_a, h_b), post, con = self._random_objectives(default_config(mod, 4, 0), rng, 50)
+        obj = PhaseObjective(r, (h_a, h_b), post, con)
         for span in (None, 2 * np.pi * 0.2, 2 * np.pi * 0.04):
             prev = rng.uniform(0, 2 * np.pi, (50, 2))
             rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
@@ -620,10 +615,10 @@ class TestParticleMStep:
             )
             post = rng.random((n, con.size**2))
             post /= post.sum(axis=1, keepdims=True)
-            obj = PhaseObjective(r, h_a, h_b, post, con)
+            obj = PhaseObjective(r, (h_a, h_b), post, con)
             phi = rng.uniform(0, 2 * np.pi, 2)
             rot = PhaseObjective(
-                r, h_a * np.exp(-1j * phi[0]), h_b * np.exp(-1j * phi[1]), post, con
+                r, (h_a * np.exp(-1j * phi[0]), h_b * np.exp(-1j * phi[1])), post, con
             )
             prev = rng.uniform(0, 2 * np.pi, 2)
             rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
@@ -643,7 +638,7 @@ class TestParticleMStep:
         )
         post = rng.random((m, n, con.size**2))
         post /= post.sum(axis=2, keepdims=True)
-        return r, h_a, h_b, post, con
+        return r, (h_a, h_b), post, con
 
     def test_never_beats_exact_profile_oracle(self, cfg):
         """The search never scores above the exact maximum of the objective.
@@ -712,13 +707,13 @@ class TestParticleMStep:
         bit-identical."""
         rng = np.random.default_rng(36)
         m, nan_row = 12, 5
-        r, h_a, h_b, post, con = self._random_objectives(cfg, rng, m)
+        r, (h_a, h_b), post, con = self._random_objectives(cfg, rng, m)
         theta = rng.uniform(0, 2 * np.pi, (m, 2))
         rx_cfg = ReceiverConfig(sigma_w2=0.3, em_refine_passes=1)
-        clean = m_step(PhaseObjective(r, h_a, h_b, post, con), theta, rx_cfg)
+        clean = m_step(PhaseObjective(r, (h_a, h_b), post, con), theta, rx_cfg)
         post[nan_row] = np.nan
-        batched = PhaseObjective(r, h_a, h_b, post, con)
-        rows = [PhaseObjective(r[i], h_a, h_b, post[i], con) for i in range(m)]
+        batched = PhaseObjective(r, (h_a, h_b), post, con)
+        rows = [PhaseObjective(r[i], (h_a, h_b), post[i], con) for i in range(m)]
         for name in ("c0", "s_a", "s_b", "s_ab"):
             assert np.all(np.isnan(getattr(batched, name)[nan_row])), name
             np.testing.assert_allclose(
@@ -762,7 +757,7 @@ class TestParticleMStep:
             post = np.zeros((len(data), con.size**2))
             post[np.arange(len(data)), ia * con.size + ib] = 1.0
             obj = PhaseObjective(
-                r, np.ones(len(data), complex), np.ones(len(data), complex), post, con
+                r, np.ones((2, len(data)), complex), post, con
             )
             coarse = particle_m_step(obj, np.zeros(2), rx_cfg)
             fine = particle_m_step(obj, coarse, rx_cfg, span=2 * cell)
@@ -815,10 +810,10 @@ class TestEmBpReceive:
         ra = RaCode.build(cfg.k_info, 3)
         info_a = rng.integers(0, 2, cfg.k_info)
         info_b = rng.integers(0, 2, cfg.k_info)
-        fa = transmit_frame(ra_encode(info_a, ra), cfg, tm, con, "a")
-        fb = transmit_frame(ra_encode(info_b, ra), cfg, tm, con, "b")
-        chan = sample_selective(4, 1.0, rng, tau=tau, cfo_a=cfo[0], cfo_b=cfo[1])
-        samples = simulate_uplink(fa, fb, chan, sigma_n2, rng, cfg)
+        fa = transmit_frame(ra_encode(info_a, ra), cfg, tm, con, 0)
+        fb = transmit_frame(ra_encode(info_b, ra), cfg, tm, con, 1)
+        chan = sample_selective(4, 1.0, rng, tau=tau, cfo=cfo)
+        samples = simulate_uplink((fa, fb), chan, sigma_n2, rng, cfg)
         freq = demodulate(samples, cfg)
         rx_cfg = ReceiverConfig(
             sigma_w2=effective_noise_var(sigma_n2, max(abs(cfo[0]), abs(cfo[1])) * 2),
@@ -837,7 +832,7 @@ class TestEmBpReceive:
         out, _, (freq, chan, tm, con, ra, rx_cfg) = self._simulate(
             cfg, em_iters=0, sigma_n2=0.3, cfo=(0.02, -0.03), seed=4
         )
-        est = ls_pilot_phase(freq, tm, chan.h_freq_a, chan.h_freq_b)
+        est = ls_pilot_phase(freq, tm, chan.h_freq)
         ev = pair_evidence(freq, chan, tm, con, est, rx_cfg.sigma_w2)
         post = JointPairDecoder(ra, con).decode(ev, rx_cfg.bp_iters)
         np.testing.assert_array_equal(out.xor_history[-1], pnc_map(post.pair_bit))
