@@ -62,8 +62,8 @@ def noise_var(ebn0_db: float, code_rate: float, bits_per_symbol: int) -> float:
 
         sigma_n2 = 1 / (code_rate * bits_per_symbol * Eb/N0).
 
-    Strictly decreasing in Eb/N0.  Pilot and CP overhead are not
-    charged to Eb.
+    Strictly decreasing in Eb/N0; an Eb/N0 of inf dB gives exactly 0.0.
+    Pilot and CP overhead are not charged to Eb.
     """
     ebn0 = 10.0 ** (ebn0_db / 10.0)
     return 1.0 / (code_rate * bits_per_symbol * ebn0)
@@ -115,7 +115,7 @@ def simulate_uplink(
     Each node's stream is convolved with its taps; node B's is delayed by
     the relative offset; each then rotates by exp(j*2*pi*cfo*n/N) at
     receiver sample index n; complex white noise of per-sample variance
-    ``sigma_n2`` is added (0 for noiseless ablations).  The output is
+    ``sigma_n2`` is added (none at 0, the noiseless point).  The output is
     truncated to the frame length (tails past the last DFT window are
     irrelevant to demodulation).
     """

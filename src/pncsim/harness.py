@@ -41,6 +41,7 @@ def _ini(section: str, default, *, key: str = "", none: str = "", lowercase: boo
 class ExperimentConfig:
     """Full description of one Monte Carlo sweep."""
 
+    # inf runs a point without receiver noise
     snr_db_list: tuple[float, ...] = _ini("run", (4.0, 6.0, 8.0, 10.0, 12.0), key="snr_db")
     trials_per_snr: int = _ini("run", 1000)
     min_errors: int = _ini("run", 100)
@@ -64,7 +65,6 @@ class ExperimentConfig:
     particle_l: int = _ini("receiver", rx_mod.ReceiverConfig.particle_l)
     particle_shrink: float = _ini("receiver", rx_mod.ReceiverConfig.particle_shrink)
     em_refine_passes: int = _ini("receiver", rx_mod.ReceiverConfig.em_refine_passes)
-    noiseless: bool = _ini("run", False)
     master_seed: int = _ini("run", 1)
     output_path: str = _ini("run", "result.csv", key="out")
     jobs: int = _ini("run", 1)
@@ -72,8 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject every invalid setting here, before the first trial runs."""
         snrs = self.snr_db_list
-        if not snrs or not all(np.isfinite(snrs)) or len(set(snrs)) != len(snrs):
-            raise ValueError(f"snr list must be non-empty, finite and distinct, got {snrs}")
+        if not snrs or any(np.isnan(snrs)) or len(set(snrs)) != len(snrs):
+            raise ValueError(f"snr list must be non-empty, not NaN and distinct, got {snrs}")
         if self.trials_per_snr < 1:
             raise ValueError("trials_per_snr must be >= 1")
         if self.min_errors < 0 or self.min_frames < 0:
@@ -98,15 +98,15 @@ class ExperimentConfig:
         bad = set(self.receivers) - {"baseline", "em_bp"}
         if bad:
             raise ValueError(f"unknown receivers {sorted(bad)}")
-        if not self.receivers:
-            raise ValueError("at least one receiver must be configured")
+        if not self.receivers or len(set(self.receivers)) != len(self.receivers):
+            raise ValueError(f"receivers must be non-empty and distinct, got {self.receivers}")
         if "em_bp" in self.receivers and not self.em_bp_k:
             raise ValueError("em_bp requested but no iteration counts given")
         if any(k < 1 for k in self.em_bp_k) or len(set(self.em_bp_k)) != len(self.em_bp_k):
             raise ValueError(f"em_bp_k must list distinct counts >= 1, got {self.em_bp_k}")
         for snr_db in snrs:  # delta <= 1 bounds the ICI term, so only the noise can overflow
             try:
-                sigma_n2 = _sigma_n2_for(self, frame_cfg, snr_db)
+                sigma_n2 = _sigma_n2_for(frame_cfg, snr_db)
             except ArithmeticError:  # Eb/N0 overflows, or underflows to 0
                 sigma_n2 = np.inf
             if not sigma_n2 < np.inf:
@@ -231,7 +231,7 @@ def _make_context(cfg: ExperimentConfig) -> _TrialContext:
     ks = tuple(k for _, k in cfg.reported())
     frame_cfg = frame_mod.default_config(cfg.modulation, cfg.m_symbols)
     ra_code = RaCode.build(frame_cfg.k_info, cfg.interleaver_seed)
-    sigma_n2 = tuple(_sigma_n2_for(cfg, frame_cfg, snr_db) for snr_db in cfg.snr_db_list)
+    sigma_n2 = tuple(_sigma_n2_for(frame_cfg, snr_db) for snr_db in cfg.snr_db_list)
     return _TrialContext(
         cfg=cfg,
         frame_cfg=frame_cfg,
@@ -310,9 +310,7 @@ def _worker_trials(snr_idx, stop) -> list[tuple[int, TrialMetrics]]:
     return _take_trials(_WORKER_CTX, _WORKER_NEXT, snr_idx, stop)
 
 
-def _sigma_n2_for(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig, snr_db: float) -> float:
-    if cfg.noiseless:
-        return 0.0
+def _sigma_n2_for(frame_cfg: frame_mod.FrameConfig, snr_db: float) -> float:
     bits_per_symbol = frame_cfg.constellation().bits_per_symbol
     return chan_mod.noise_var(snr_db, 1.0 / frame_cfg.code_rate_inv, bits_per_symbol)
 
@@ -451,15 +449,6 @@ def _ini_parser(hint, none: str = "", lowercase: bool = False):
     if typing.get_origin(hint) is tuple:  # tuple[T, ...], a comma list
         parse = _ini_parser(typing.get_args(hint)[0])
         return lambda raw: tuple(parse(s.strip()) for s in raw.split(",") if s.strip())
-    if hint is bool:
-        states = configparser.ConfigParser.BOOLEAN_STATES
-
-        def parse_bool(raw: str) -> bool:
-            if raw.lower() not in states:
-                raise ValueError("not a boolean")
-            return states[raw.lower()]
-
-        return parse_bool
     return str.lower if lowercase else hint
 
 
@@ -478,10 +467,15 @@ def load_config(path: str) -> ExperimentConfig:
     """Read the key = value experiment file (sections mirror the modules).
 
     Every section and key must appear in ``_INI_KEYS``; ``;`` also starts an
-    inline comment.  A missing file raises FileNotFoundError, anything else
-    that is not a valid experiment raises ValueError.
+    inline comment, and ``%`` is a literal character.  ``[DEFAULT]`` is no
+    special section, so it is an unknown one.  A missing file raises
+    FileNotFoundError, anything else that is not a valid experiment raises
+    ValueError.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # no header can name the empty default section
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";",), interpolation=None, default_section=""
+    )
     sections = dict.fromkeys(section for section, _ in _INI_KEYS)
     kw = {}
     try:

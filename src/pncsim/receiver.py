@@ -15,7 +15,6 @@ search treats every true drift alike.
 
 from __future__ import annotations
 
-import copy
 import functools
 import warnings
 from dataclasses import dataclass
@@ -176,7 +175,7 @@ class PhaseObjective:
         constellation: Constellation,
         pilots=(),
     ):
-        # All but the posterior is fixed for a frame and kept for _fit: one
+        # All but the posterior is fixed for a frame and kept for fit: one
         # real matmul gives each tone's posterior means of |X_a|^2, |X_b|^2,
         # X_a, X_b and X_a conj(X_b); one weighted sum over the tones
         # follows, so no (..., N_d, Q^2) product is built.
@@ -192,10 +191,11 @@ class PhaseObjective:
         for col, (r_p, h_p) in zip((2, 3), pilots):
             energy = (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
             self._pilots.append((col, energy, np.conj(r_p) @ h_p))
-        self._fit(posterior)
+        self.fit(posterior)
 
-    def _fit(self, posterior: np.ndarray) -> PhaseObjective:
-        """Set the statistics for ``posterior``; returns self."""
+    def fit(self, posterior: np.ndarray) -> PhaseObjective:
+        """Set the statistics for ``posterior``, another posterior of the same
+        frame, in place; returns self."""
         means = (posterior @ self._terms).view(np.complex128)  # (..., N_d, 5)
         means[..., 2:4] *= self._r_conj
         stats = (means * self._h_pair).sum(axis=-2)
@@ -217,17 +217,12 @@ def build_phase_objective(
     tone_map: ToneMap,
     constellation: Constellation,
     posterior: np.ndarray,
-    reuse: PhaseObjective | None = None,
 ) -> PhaseObjective:
     """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, or
     for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors:
     each node sends the known +1 on its own ``tone_map`` pilot tones and
     nothing on the other node's, so any per-node pilot split, another
-    ``pilot_tones`` pair, anchors the phases the same way.  ``reuse``, an
-    objective built from the same frame, lends its fixed terms, so only the
-    posterior's statistics are computed."""
-    if reuse is not None:
-        return copy.copy(reuse)._fit(posterior)
+    ``pilot_tones`` pair, anchors the phases the same way."""
     data = tone_map.data_tones
     pilots = [(r[..., tones], h[tones]) for tones, h in zip(tone_map.pilot_tones, chan.h_freq)]
     return PhaseObjective(r[..., data], chan.h_freq[:, data], posterior, constellation, pilots)
@@ -384,8 +379,8 @@ def em_bp_receive(
     xor_history = np.empty((k_total + 1, decoder.ra.k_info), dtype=np.int64)
     theta_history[0] = theta
 
-    # round 0 decodes from zero messages, and its objective builds the
-    # frame's fixed terms, which later rounds' objectives reuse
+    # round 0 decodes from zero messages, and its M-step builds the objective
+    # with the frame's fixed terms, which later rounds refit
     messages = obj = None
     for k in range(k_total + 1):
         evidence = pair_evidence(r, chan, tone_map, constellation, theta, rx_cfg.sigma_w2)
@@ -395,7 +390,10 @@ def em_bp_receive(
         if k == k_total:
             break
         tables = posterior.pair_symbol.reshape(m_symbols, -1, constellation.size**2)
-        obj = build_phase_objective(r, chan, tone_map, constellation, tables, reuse=obj)
+        if obj is None:
+            obj = build_phase_objective(r, chan, tone_map, constellation, tables)
+        else:
+            obj.fit(tables)
         theta = m_step(obj, theta, rx_cfg)
         theta_history[k + 1] = theta
 

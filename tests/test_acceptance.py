@@ -398,14 +398,13 @@ class TestCriterion8NoiselessEndToEnd:
 
     def test_fifty_frames_zero_ber(self):
         cfg = ExperimentConfig(
-            snr_db_list=(0.0,),
+            snr_db_list=(math.inf,),
             trials_per_snr=50,
             min_errors=10**9,
             min_frames=50,
             channel_kind="selective",
             n_taps=4,
             decay=1.0,
-            noiseless=True,
             delta=0.0,
             em_bp_k=(1, 7),
             master_seed=808,

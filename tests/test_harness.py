@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import math
 import multiprocessing
 import os
 import sys
@@ -187,7 +188,7 @@ _GOLDEN_ROWS = {
 
 class TestRunExperiment:
     def test_noiseless_zero_cfo_ber_zero(self):
-        cfg = _tiny_config(noiseless=True, delta=0.0, trials_per_snr=10)
+        cfg = _tiny_config(snr_db_list=(math.inf,), delta=0.0, trials_per_snr=10)
         result = run_experiment(cfg)
         for row in result.rows:
             assert row.ber == 0.0
@@ -532,6 +533,14 @@ class TestCsv:
         assert path.read_text().splitlines()[1] == "baseline,0,8.0,0.0,0.5,0.25,10,1,2.0"
         assert parse_csv(path) == [row]
 
+    def test_noiseless_row_roundtrip(self, tmp_path):
+        """The noiseless point's SNR, inf, prints as inf and reads back."""
+        row = harness.ResultRow("em_bp", 7, math.inf, 0.0, 1e-32, 2e-32, 320, 1, 0.5)
+        path = tmp_path / "out.csv"
+        emit_csv(harness.ExperimentResult([row]), path)
+        assert path.read_text().splitlines()[1] == "em_bp,7,inf,0.0,1e-32,2e-32,320,1,0.5"
+        assert parse_csv(path) == [row]
+
     def test_parse_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -605,7 +614,7 @@ class TestConfigFileAndCli:
             "particle_rounds = 2\nparticle_l = 6\nparticle_shrink = 0.2\n"
             "em_refine_passes = 1\n"
             "[run]\nsnr_db = 5, 9.5\ntrials_per_snr = 40\nmin_errors = 7\nmin_frames = 3\n"
-            f"noiseless = yes\nmaster_seed = 99\nout = {out}\njobs = 3\n"
+            f"master_seed = 99\nout = {out}\njobs = 3\n"
         )
         assert _ini_pairs(path) == set(_INI_KEYS)
         cfg = load_config(path)
@@ -629,7 +638,6 @@ class TestConfigFileAndCli:
             particle_l=6,
             particle_shrink=0.2,
             em_refine_passes=1,
-            noiseless=True,
             master_seed=99,
             output_path=str(out),
             jobs=3,
@@ -637,6 +645,11 @@ class TestConfigFileAndCli:
         default = ExperimentConfig()
         for f in dataclasses.fields(ExperimentConfig):
             assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+
+    def test_percent_is_literal(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[run]\nout = run_100%.csv\n")
+        assert load_config(path).output_path == "run_100%.csv"
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -661,6 +674,15 @@ class TestConfigFileAndCli:
             assert f" errors={round(row.ber * row.bits)} " in line
             assert "[" not in line
 
+    def test_cli_run_noiseless_point(self, tmp_path, capsys):
+        out = tmp_path / "result.csv"
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.format(out=out))
+        assert cli.main(["run", str(path), "--snr", "inf", "--trials", "2"]) == 0
+        assert {r.snr_db for r in parse_csv(out)} == {math.inf}
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert lines and all(" snr=  inf dB " in line for line in lines)
+
     @pytest.mark.parametrize(
         "text, args, named",
         [
@@ -670,6 +692,7 @@ class TestConfigFileAndCli:
             ("[channel]\nkind = flat\ntaps = -3\n", [], "taps"),
             ("[channel]\nkind = flat\ntaps = 18\n", [], "taps"),
             ("[run]\nsnr_db = nan\n", [], None),
+            ("[run]\nsnr_db = -inf\n", [], "snr_db"),
             ("[frame]\nmodulation = 16qam\n", [], None),
             ("[receiver]\nbp_iters = 0\n", [], "bp_iters"),
             ("[receiver]\nparticle_l = 1\n", [], "particle_l"),
@@ -680,6 +703,8 @@ class TestConfigFileAndCli:
             ("[receiver]\nls_includes_channel = false\n", [], "ls_includes_channel"),
             ("[run]\njobs = 1\n[run]\njobs = 2\n", [], None),
             ("jobs = 1\n", [], None),
+            ("[DEFAULT]\ntrials_per_snr = 5\nbogus = 1\n", [], "DEFAULT"),
+            ("[run]\n[DEFAULT]\njobs = 2\n", [], "DEFAULT"),
             ("[run]\njobs = 0\n", [], None),
             ("[run]\njobs = -2\n", [], None),
             ("[run]\n", ["--jobs", "0"], None),
@@ -696,21 +721,23 @@ class TestConfigFileAndCli:
             ("[receiver]\nsigma_w2 = 1e-320\n", [], "sigma_w2"),
             ("[run]\n", ["--snr", "4, x"], None),
             ("[receiver]\nem_bp_k = 2, 2\n", [], "em_bp_k"),
+            ("[receiver]\nreceivers = baseline, baseline, em_bp\n", [], "receivers"),
             ("[run]\n", ["--out", "."], "is a directory"),
             ("[receiver]\nparticle_l = 3000\n", [], "GiB limit"),
             ("[frame]\nm_symbols = 2000000\n", [], "GiB limit"),
         ],
         ids=[
             "empty-snr", "tau-past-cp", "taps-past-cp", "flat-taps-negative",
-            "flat-taps-past-cp", "snr-nan", "modulation",
+            "flat-taps-past-cp", "snr-nan", "snr-minus-inf", "modulation",
             "bp-iters", "particle-l", "particle-shrink", "particle-rounds", "sigma-w2",
             "refine-passes", "removed-key",
-            "duplicate-section", "no-section", "jobs-zero", "jobs-negative",
+            "duplicate-section", "no-section", "default-only", "default-with-run",
+            "jobs-zero", "jobs-negative",
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
             "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
             "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
-            "em-bp-k-repeated", "cli-out-is-dir", "trial-too-big-particles",
-            "trial-too-big-frame",
+            "em-bp-k-repeated", "receivers-repeated", "cli-out-is-dir",
+            "trial-too-big-particles", "trial-too-big-frame",
         ],
     )
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys, monkeypatch, text, args, named):
