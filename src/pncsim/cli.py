@@ -50,14 +50,20 @@ def main(argv=None) -> int:
     try:
         cfg = harness.load_config(args.config)
         _, parse_snr = harness._INI_KEYS["run", "snr_db"]
+        try:
+            snrs = None if args.snr is None else parse_snr(args.snr)
+        except ValueError as exc:
+            raise ValueError(f"--snr {args.snr!r}: {exc}") from None
         cfg = harness.with_overrides(
             cfg,
-            snr_db_list=None if args.snr is None else parse_snr(args.snr),
+            snr_db_list=snrs,
             master_seed=args.seed,
             output_path=args.out,
             trials_per_snr=args.trials,
             jobs=args.jobs,
         )
+        if not cfg.output_path:
+            raise ValueError("output path is empty")
         runs = [(cfg, cfg.output_path)]
         if args.command == "sweep-c":
             stem = cfg.output_path.removesuffix(".csv")

@@ -67,12 +67,12 @@ def ra_encode(info_bits: np.ndarray, ra_code: RaCode) -> np.ndarray:
 
 @dataclass(eq=False)
 class PairEvidence:
-    """Per data symbol: p(received | X_a, X_b) over the joint alphabet.
+    """Per data symbol: log p(received | X_a, X_b) over the joint alphabet, up to a constant.
 
     ``tables`` has shape (n_symbols, Q*Q) where entry a*Q + b corresponds to
     node A sending point ``a`` and node B point ``b``.  Symbols are ordered
-    OFDM-symbol-major, then by data-tone position.
-    """
+    OFDM-symbol-major, then by data-tone position; ``pair_evidence`` shifts
+    each row to a maximum of exactly 0."""
 
     tables: np.ndarray
 
@@ -189,9 +189,10 @@ class JointPairDecoder:
     ) -> PairPosterior:
         """Run up to ``inner_iters`` flooding iterations on ``evidence``.
 
-        ``start`` holds the check outputs (to_prev, to_cur, to_info) the first
-        iteration reads, as ``PairPosterior.messages`` returns them, (3, 2, n);
-        None starts from zero messages.  It is copied, never written.
+        Rows of log-evidence count up to a constant; each row's max must be
+        finite.  ``start`` holds the check outputs (to_prev, to_cur, to_info)
+        the first iteration reads, as ``PairPosterior.messages`` returns them,
+        (3, 2, n); None starts from zero messages.  It is copied, never written.
         """
         if inner_iters < 1:
             raise ValueError("inner_iters must be >= 1")
@@ -201,15 +202,10 @@ class JointPairDecoder:
                 f"evidence must cover all {self.n_symbols} data symbols "
                 f"with {self.q_joint}-entry tables, got {tables.shape}"
             )
-        if np.any(tables < 0):
-            raise ValueError("evidence tables must be nonnegative")
-        dead = ~np.any(tables > 0, axis=1)
-        if np.any(dead):
-            raise ValueError(
-                f"evidence table all-zero at symbol index {int(np.flatnonzero(dead)[0])}"
-            )
-        k = self.ra.k_info
-        n = self.ra.n_coded
+        bad = np.flatnonzero(~np.isfinite(tables.max(axis=1)))  # NaN, +inf or all -inf
+        if bad.size:
+            raise ValueError(f"evidence row max not finite at symbol index {bad[0]}")
+        k, n = self.ra.k_info, self.ra.n_coded
         if start is None:
             start = np.zeros((3, 2, n))
         elif np.shape(start) != (3, 2, n):
@@ -227,7 +223,7 @@ class JointPairDecoder:
         t_prev, t_cur, t_info = tanhs
         with np.errstate(divide="ignore"):
             # symbol-minor: per-symbol max and sums reduce over axis 0, vectorised across symbols
-            log_tables = np.log(np.ascontiguousarray(tables.T))
+            log_tables = np.ascontiguousarray(tables.T)
             for _ in range(inner_iters):
                 v2e = _extrinsic(to_prev, to_cur)
                 msg_ev = self._evidence_llrs(*self._beliefs(log_tables, v2e))

@@ -26,8 +26,7 @@ from .codec import JointPairDecoder, PairEvidence
 from .frame import Constellation, FrameConfig, ToneMap
 
 # Floor for the effective noise variance, and the least sigma_w2 a receiver
-# accepts, so that noiseless ablations yield delta-shaped evidence instead of
-# dividing by zero, and no table of evidence underflows to all zeros.
+# accepts: it keeps sigma_w2 > 0, so the noiseless point gives delta evidence.
 _SIGMA_W2_FLOOR = 1e-12
 
 
@@ -123,12 +122,12 @@ def pair_evidence(
     theta: np.ndarray,
     sigma_w2: float,
 ) -> PairEvidence:
-    """Gaussian channel evidence on every data tone for every symbol pair.
+    """Gaussian log-evidence on every data tone for every symbol pair.
 
-    Entry (m, i, a*Q+b) is proportional to
-    exp(-|R_{m,i} - e^{j theta_a,m} X_a H_a,i - e^{j theta_b,m} X_b H_b,i|^2
-    / sigma_w2), normalized per tone in the log domain so no table can
-    underflow to all zeros.
+    Entry (m, i, a*Q+b) is log p(R | X_a, X_b) up to a per-tone constant,
+    -|R_{m,i} - e^{j theta_a,m} X_a H_a,i - e^{j theta_b,m} X_b H_b,i|^2
+    / sigma_w2, shifted to a tone maximum of exactly 0 so that the decoder's
+    priors keep their low bits at the sigma_w2 floor (entries near -1e12).
     """
     data = tone_map.data_tones
     r = r[:, data]  # (M, N_d)
@@ -143,9 +142,7 @@ def pair_evidence(
     np.square(log_k, out=log_k)
     log_k /= -sigma_w2
     log_k -= log_k.max(axis=2, keepdims=True)
-    tables = np.exp(log_k, out=log_k)
-    tables /= tables.sum(axis=2, keepdims=True)
-    return PairEvidence(tables=tables.reshape(-1, q * q))
+    return PairEvidence(tables=log_k.reshape(-1, q * q))
 
 
 class PhaseObjective:

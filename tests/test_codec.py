@@ -30,19 +30,20 @@ def oracle_encode(info_bits, interleaver):
 
 
 def delta_evidence(coded_a, coded_b, constellation):
-    """Evidence tables that are 1 on the transmitted pair, 0 elsewhere."""
+    """Log-evidence tables that are 0 on the transmitted pair, -inf elsewhere."""
     q = constellation.size
     sym_a = map_bits(coded_a, constellation)
     sym_b = map_bits(coded_b, constellation)
     idx_a = np.argmin(np.abs(sym_a[:, None] - constellation.points[None, :]), axis=1)
     idx_b = np.argmin(np.abs(sym_b[:, None] - constellation.points[None, :]), axis=1)
-    tables = np.zeros((len(sym_a), q * q))
-    tables[np.arange(len(sym_a)), idx_a * q + idx_b] = 1.0
+    tables = np.full((len(sym_a), q * q), -np.inf)
+    tables[np.arange(len(sym_a)), idx_a * q + idx_b] = 0.0
     return PairEvidence(tables=tables)
 
 
 def pair_evidence_awgn(coded_a, coded_b, constellation, h_a, h_b, sigma2, rng):
-    """Evidence from superimposed transmission over scalar channels."""
+    """Log-evidence from superimposed transmission over scalar channels,
+    shifted to a row maximum of 0 as ``pair_evidence`` shifts it."""
     q = constellation.size
     sym_a = map_bits(coded_a, constellation)
     sym_b = map_bits(coded_b, constellation)
@@ -52,8 +53,8 @@ def pair_evidence_awgn(coded_a, coded_b, constellation, h_a, h_b, sigma2, rng):
     r = h_a * sym_a + h_b * sym_b + noise
     pa = constellation.points
     hyp = h_a * pa[np.repeat(np.arange(q), q)] + h_b * pa[np.tile(np.arange(q), q)]
-    tables = np.exp(-np.abs(r[:, None] - hyp[None, :]) ** 2 / sigma2)
-    return PairEvidence(tables=tables / tables.sum(axis=1, keepdims=True)), r
+    log_t = -np.abs(r[:, None] - hyp[None, :]) ** 2 / sigma2
+    return PairEvidence(tables=log_t - log_t.max(axis=1, keepdims=True)), r
 
 
 class TestRaEncode:
@@ -169,11 +170,11 @@ class TestSingleUserConsistency:
             rng.standard_normal(3 * k) + 1j * rng.standard_normal(3 * k)
         )
         r = map_bits(coded_a, con) + noise
-        e_a = np.exp(-np.abs(r[:, None] - con.points[None, :]) ** 2 / sigma2)
-        tables = np.repeat(e_a, 2, axis=1) / 2.0  # joint idx a*2+b flat over b
+        log_e_a = -np.abs(r[:, None] - con.points[None, :]) ** 2 / sigma2
+        tables = np.repeat(log_e_a, 2, axis=1)  # joint idx a*2+b flat over b
         post = JointPairDecoder(ra, con).decode(PairEvidence(tables=tables), 8)
 
-        bit_llrs = np.log(e_a[:, 0]) - np.log(e_a[:, 1])
+        bit_llrs = log_e_a[:, 0] - log_e_a[:, 1]
         llr_oracle = single_user_ra_bp(
             np.clip(bit_llrs, -30, 30), ra.interleaver, k, iters=8
         )
@@ -185,12 +186,12 @@ class TestSingleUserConsistency:
         np.testing.assert_allclose(p_b0, 0.5, atol=1e-9)
 
 
-def exhaustive_pair_map(ra, ev_tables, constellation):
+def exhaustive_pair_map(ra, log_t, constellation):
     """Exact joint MAP over all codeword pairs; returns XOR decisions.
 
     Enumerates every (codeword_a, codeword_b) pair, scores it with the
-    evidence tables, and marginalizes the joint posterior to per-info-bit
-    XOR decisions.
+    log-evidence tables ``log_t``, and marginalizes the joint posterior to
+    per-info-bit XOR decisions.
     """
     k = ra.k_info
     q = constellation.size
@@ -199,8 +200,6 @@ def exhaustive_pair_map(ra, ev_tables, constellation):
     codes = np.stack([ra_encode(infos[w], ra) for w in range(n_words)])
     sym_idx = codes  # BPSK: coded bit == point index
     assert q == 2
-    with np.errstate(divide="ignore"):
-        log_t = np.log(ev_tables)
     loglik = np.zeros((n_words, n_words))
     for t in range(ra.n_coded):
         loglik += log_t[t][sym_idx[:, t][:, None] * q + sym_idx[None, :, t]]
@@ -246,7 +245,7 @@ class TestDecoderProperties:
     def _random_evidence(self, seed, n_sym, q_joint):
         rng = np.random.default_rng(seed)
         t = rng.random((n_sym, q_joint)) + 1e-6
-        return PairEvidence(tables=t / t.sum(axis=1, keepdims=True))
+        return PairEvidence(tables=np.log(t / t.sum(axis=1, keepdims=True)))
 
     def test_posteriors_normalized(self):
         con = make_constellation(QPSK)
@@ -281,12 +280,18 @@ class TestDecoderProperties:
             post_sw.pair_symbol, post.pair_symbol[:, [0, 2, 1, 3]], atol=1e-12
         )
 
-    def test_rejects_all_zero_table(self):
+    @pytest.mark.parametrize(
+        "row", [[0.0, np.nan, -1.0, -2.0], [0.0, np.inf, -1.0, -2.0], [-np.inf] * 4],
+        ids=["nan", "plus-inf", "all-minus-inf"],
+    )
+    def test_rejects_nonfinite_row_max(self, row):
+        """A NaN, a +inf or an all -inf row has no finite maximum, and the
+        error names its symbol."""
         con = make_constellation(BPSK)
         ra = RaCode.build(8, seed=2)
-        tables = np.ones((24, 4))
-        tables[5] = 0.0
-        with pytest.raises(ValueError, match="all-zero at symbol index 5"):
+        tables = np.zeros((24, 4))
+        tables[5] = row
+        with pytest.raises(ValueError, match="not finite at symbol index 5"):
             JointPairDecoder(ra, con).decode(PairEvidence(tables=tables), 2)
 
     def test_rejects_wrong_coverage(self):
@@ -311,7 +316,7 @@ class TestDecoderProperties:
         np.testing.assert_array_equal(p1.pair_symbol, p2.pair_symbol)
 
 
-def reference_decode(ra, constellation, tables, iters, llr_max=30.0, pin=1e30):
+def reference_decode(ra, constellation, log_tables, iters, llr_max=30.0, pin=1e30):
     """The joint decoder in its per-node form: one RA chain per node, evidence
     messages from full log p(bit = 0) / log p(bit = 1) priors (two
     ``logaddexp`` calls), and one two-tanh boxplus per check output.
@@ -353,8 +358,6 @@ def reference_decode(ra, constellation, tables, iters, llr_max=30.0, pin=1e30):
                 out[u] = clip((sums[:, 0::2] - sums[:, 1::2] - in_llr[u]).reshape(-1))
         return out, full
 
-    with np.errstate(divide="ignore"):
-        log_tables = np.log(tables)
     n = ra.n_coded
     zeros = {"to_prev": np.zeros(n), "to_cur": np.zeros(n), "to_info": np.zeros(n)}
     states = {"a": dict(zeros), "b": dict(zeros)}
@@ -412,7 +415,7 @@ class TestMatchesReferenceDecoder:
         coded_b = ra_encode(rng.integers(0, 2, k), ra)
         if kind == "delta":
             ev = delta_evidence(coded_a, coded_b, con)
-            assert np.any(ev.tables == 0.0)  # log gives -inf entries
+            assert np.any(ev.tables == -np.inf)
         else:
             ebn0_db = float(kind[5:-2])
             sigma2 = 3.0 / (con.bits_per_symbol * 10 ** (ebn0_db / 10.0))
@@ -506,3 +509,19 @@ class TestWarmStart:
         for shape in ((3, 2, 23), (2, 2, 24), (3, 24)):
             with pytest.raises(ValueError, match="start messages must have shape"):
                 decoder.decode(ev, 2, start=np.zeros(shape))
+
+
+class TestShiftInvariance:
+    """Log-evidence counts up to a constant per symbol: adding any finite one
+    to each row leaves the decisions and posteriors where they were."""
+
+    @pytest.mark.parametrize("ebn0_db", [0.0, 6.0, 30.0])
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    def test_row_shift_keeps_posteriors(self, mod, ebn0_db):
+        decoder, ev = flat_frame_evidence(mod, ebn0_db, seed=4)
+        shift = np.random.default_rng(5).uniform(-50.0, 50.0, (len(ev.tables), 1))
+        post = decoder.decode(ev, 20)
+        moved = decoder.decode(PairEvidence(tables=ev.tables + shift), 20)
+        np.testing.assert_array_equal(pnc_map(moved.pair_bit), pnc_map(post.pair_bit))
+        np.testing.assert_allclose(moved.pair_symbol, post.pair_symbol, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved.pair_bit, post.pair_bit, rtol=0, atol=1e-12)

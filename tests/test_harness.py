@@ -162,15 +162,15 @@ _GOLDEN_ROWS = {
     "tiny-selective": [
         ("baseline", 0, 6.0, 57, 256, 4, 0.4033697682690225, 0.09243666901104974),
         ("baseline", 0, 10.0, 0, 256, 4, 0.02165348458046274, 0.06506893837894917),
-        ("em_bp", 1, 6.0, 47, 256, 4, 0.3248138249482501, 0.026782881058414705),
+        ("em_bp", 1, 6.0, 47, 256, 4, 0.32481382494825006, 0.02678288105841479),
         ("em_bp", 1, 10.0, 0, 256, 4, 0.002374008426734928, 0.0013359237173776366),
-        ("em_bp", 2, 6.0, 43, 256, 4, 0.3335534129013769, 0.01624028003121785),
+        ("em_bp", 2, 6.0, 43, 256, 4, 0.33355341290137674, 0.016240280031217913),
         ("em_bp", 2, 10.0, 0, 256, 4, 0.0026310007212527776, 0.000894425290965068),
     ],
     "flat-qpsk-em7": [
         ("baseline", 0, 8.0, 1254, 7680, 24, 0.20714726075508172, 0.2380986899457508),
-        ("em_bp", 1, 8.0, 1205, 7680, 24, 0.18549875348447542, 0.2138000224935542),
-        ("em_bp", 7, 8.0, 1157, 7680, 24, 0.17760590241821253, 0.2122815467419278),
+        ("em_bp", 1, 8.0, 1205, 7680, 24, 0.1854987534844754, 0.2138000224935542),
+        ("em_bp", 7, 8.0, 1157, 7680, 24, 0.1776059024188585, 0.21228154674192756),
     ],
     "bpsk-pilot-only": [
         ("baseline", 0, 8.0, 647, 3840, 24, 0.3415182058195861, 0.3349610224299652),
@@ -178,10 +178,10 @@ _GOLDEN_ROWS = {
     "selective-refine-sweep": [
         ("baseline", 0, 6.0, 1554, 7680, 24, 0.16177894773591026, 0.17720330240440643),
         ("baseline", 0, 10.0, 274, 7680, 24, 0.07983356145508118, 0.1317950328924206),
-        ("em_bp", 1, 6.0, 1066, 7680, 24, 0.09469977146715226, 0.09962201832055044),
-        ("em_bp", 1, 10.0, 134, 7680, 24, 0.029813847693346662, 0.06626814233148288),
-        ("em_bp", 7, 6.0, 367, 7680, 24, 0.06286592827582294, 0.026213447106932578),
-        ("em_bp", 7, 10.0, 111, 7680, 24, 0.03603065666955303, 0.05820279112481713),
+        ("em_bp", 1, 6.0, 1066, 7680, 24, 0.09469977146715232, 0.09962201832055034),
+        ("em_bp", 1, 10.0, 134, 7680, 24, 0.02981384769334665, 0.06626814233148291),
+        ("em_bp", 7, 6.0, 367, 7680, 24, 0.06286592827545116, 0.026213447107158606),
+        ("em_bp", 7, 10.0, 111, 7680, 24, 0.036030656669553504, 0.05820279112482044),
     ],
 }
 
@@ -440,7 +440,7 @@ class TestRunExperiment:
         (4-entry joint tables) and the stopping rule.  The workload rows
         were recorded once, with the two nodes still written out per node in
         the channel, frame, receiver and trial code.  The history below
-        concerns the tiny config's rows.
+        concerns the tiny config's rows up to its last entry.
         The em_bp MSEs were re-recorded when the decoder began building its
         evidence messages from matmuls: they moved in the last digits only,
         and every error, bit and frame count stayed the same.  They were
@@ -474,7 +474,29 @@ class TestRunExperiment:
         (em_bp, 2, 6.0)  mse_a 0.33355341290137613 -> 0.3335534129013769,
                          mse_b 0.016240280031217868 -> 0.01624028003121785;
         (em_bp, 2, 10.0) mse_a 0.0026310007212528076 -> 0.0026310007212527776,
-                         mse_b 0.0008944252909650478 -> 0.000894425290965068."""
+                         mse_b 0.0008944252909650478 -> 0.000894425290965068.
+        The em_bp MSEs of all rows were re-recorded when the pair evidence
+        began reaching the decoder as max-shifted logs, without the exp,
+        normalisation and log between them, with every count unchanged;
+        old -> new:
+        tiny-selective
+        (em_bp, 1, 6.0)  mse_a 0.3248138249482501 -> 0.32481382494825006,
+                         mse_b 0.026782881058414705 -> 0.02678288105841479;
+        (em_bp, 2, 6.0)  mse_a 0.3335534129013769 -> 0.33355341290137674,
+                         mse_b 0.01624028003121785 -> 0.016240280031217913;
+        flat-qpsk-em7
+        (em_bp, 1, 8.0)  mse_a 0.18549875348447542 -> 0.1854987534844754;
+        (em_bp, 7, 8.0)  mse_a 0.17760590241821253 -> 0.1776059024188585,
+                         mse_b 0.2122815467419278 -> 0.21228154674192756;
+        selective-refine-sweep
+        (em_bp, 1, 6.0)  mse_a 0.09469977146715226 -> 0.09469977146715232,
+                         mse_b 0.09962201832055044 -> 0.09962201832055034;
+        (em_bp, 1, 10.0) mse_a 0.029813847693346662 -> 0.02981384769334665,
+                         mse_b 0.06626814233148288 -> 0.06626814233148291;
+        (em_bp, 7, 6.0)  mse_a 0.06286592827582294 -> 0.06286592827545116,
+                         mse_b 0.026213447106932578 -> 0.026213447107158606;
+        (em_bp, 7, 10.0) mse_a 0.03603065666955303 -> 0.036030656669553504,
+                         mse_b 0.05820279112481713 -> 0.05820279112482044."""
         if case == "tiny-selective":
             cfg = _tiny_config(
                 snr_db_list=(6.0, 10.0),
@@ -720,9 +742,12 @@ class TestConfigFileAndCli:
             ("[channel]\ndelta = 1.5\n", [], "delta"),
             ("[receiver]\nsigma_w2 = 1e-320\n", [], "sigma_w2"),
             ("[run]\n", ["--snr", "4, x"], None),
+            ("[run]\n", ["--snr", "abc"], "--snr 'abc': "),
             ("[receiver]\nem_bp_k = 2, 2\n", [], "em_bp_k"),
             ("[receiver]\nreceivers = baseline, baseline, em_bp\n", [], "receivers"),
             ("[run]\n", ["--out", "."], "is a directory"),
+            ("[run]\nout =\n", [], "output path is empty"),
+            ("[run]\n", ["--out", ""], "output path is empty"),
             ("[receiver]\nparticle_l = 3000\n", [], "GiB limit"),
             ("[frame]\nm_symbols = 2000000\n", [], "GiB limit"),
         ],
@@ -736,7 +761,8 @@ class TestConfigFileAndCli:
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
             "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
             "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
-            "em-bp-k-repeated", "receivers-repeated", "cli-out-is-dir",
+            "cli-snr-named", "em-bp-k-repeated", "receivers-repeated", "cli-out-is-dir",
+            "out-empty", "cli-out-empty",
             "trial-too-big-particles", "trial-too-big-frame",
         ],
     )
@@ -754,6 +780,19 @@ class TestConfigFileAndCli:
         assert err.startswith("error: invalid config: ")
         if named is not None:
             assert named in err
+
+    def test_cli_sweep_c_rejects_empty_out(self, tmp_path, capsys, monkeypatch):
+        """An empty prefix would write _c0.25.csv and _c1.csv to the working
+        directory; it exits 2 before any trial, as for ``run``."""
+
+        def no_run(cfg):
+            raise AssertionError("an invalid config reached run_experiment")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        path = tmp_path / "bad.ini"
+        path.write_text("[run]\nout =\n")
+        assert cli.main(["sweep-c", str(path)]) == 2
+        assert capsys.readouterr().err == "error: invalid config: output path is empty\n"
 
     def test_readme_and_workload_inis_load(self, tmp_path):
         """The README example and the benchmark workloads load, and the

@@ -216,7 +216,7 @@ class TestLsPilotPhase:
 
 
 def oracle_evidence(r_tone, h_a, h_b, theta, points, sigma_w2):
-    """Direct per-entry evaluation of the Gaussian evidence kernel."""
+    """Direct per-entry evaluation of the Gaussian log-evidence kernel."""
     q = len(points)
     out = np.zeros(q * q)
     for a in range(q):
@@ -225,8 +225,8 @@ def oracle_evidence(r_tone, h_a, h_b, theta, points, sigma_w2):
                 np.exp(1j * theta[0]) * points[a] * h_a
                 + np.exp(1j * theta[1]) * points[b] * h_b
             )
-            out[a * q + b] = np.exp(-abs(r_tone - hyp) ** 2 / sigma_w2)
-    return out / out.sum()
+            out[a * q + b] = -abs(r_tone - hyp) ** 2 / sigma_w2
+    return out
 
 
 def reference_pair_evidence(r, chan, tone_map, constellation, theta, sigma_w2):
@@ -242,9 +242,7 @@ def reference_pair_evidence(r, chan, tone_map, constellation, theta, sigma_w2):
     hyp += rot_b * chan.h_freq[1][data][None, :, None] * xb[None, None, :]
     log_k = -np.abs(r[:, :, None] - hyp) ** 2 / sigma_w2
     log_k -= log_k.max(axis=2, keepdims=True)
-    tables = np.exp(log_k)
-    tables /= tables.sum(axis=2, keepdims=True)
-    return tables.reshape(-1, len(xa))
+    return log_k.reshape(-1, len(xa))
 
 
 class TestPairEvidence:
@@ -283,7 +281,8 @@ class TestPairEvidence:
                     con.points,
                     sigma_w2,
                 )
-                np.testing.assert_allclose(tables[m, d], expect, atol=1e-12)
+                # the kernel up to the row shift, which puts the row max at 0
+                np.testing.assert_allclose(tables[m, d], expect - expect.max(), atol=1e-12)
 
     def test_true_pair_attains_maximum_noiseless(self, cfg):
         tm, con = cfg.tone_map(), cfg.constellation()
@@ -319,10 +318,11 @@ class TestPairEvidence:
         wide = pair_evidence(
             r, chan, tm, con, theta, sigma_w2=0.2
         )
-        ratio_n = narrow.tables.max(axis=1) / narrow.tables.min(axis=1)
-        ratio_w = wide.tables.max(axis=1) / wide.tables.min(axis=1)
-        assert np.all(ratio_w <= ratio_n + 1e-12)
-        np.testing.assert_allclose(np.sqrt(ratio_n), ratio_w, rtol=1e-9)
+        # a row's log range is its max/min probability ratio in logs
+        range_n = narrow.tables.max(axis=1) - narrow.tables.min(axis=1)
+        range_w = wide.tables.max(axis=1) - wide.tables.min(axis=1)
+        assert np.all(range_w <= range_n + 1e-12)
+        np.testing.assert_allclose(range_n / 2.0, range_w, rtol=1e-9)
 
     def test_never_all_zero_under_underflow(self, cfg):
         tm, con = cfg.tone_map(), cfg.constellation()
@@ -331,7 +331,8 @@ class TestPairEvidence:
         ev = pair_evidence(
             r, chan, tm, con, np.zeros((cfg.m_symbols, 2)), sigma_w2=1e-6
         )
-        assert np.all(ev.tables.sum(axis=1) > 0)
+        # the log domain cannot underflow: each row keeps its max at 0
+        np.testing.assert_array_equal(ev.tables.max(axis=1), 0.0)
         assert np.all(np.isfinite(ev.tables))
 
 
