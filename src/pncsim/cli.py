@@ -62,11 +62,11 @@ def main(argv=None) -> int:
             trials_per_snr=args.trials,
             jobs=args.jobs,
         )
-        if not cfg.output_path:
-            raise ValueError("output path is empty")
+        stem = cfg.output_path.removesuffix(".csv")
+        if not os.path.basename(stem):  # "", ".csv" and "sub/.csv" name no file
+            raise ValueError(f"output path {cfg.output_path!r} has an empty file name")
         runs = [(cfg, cfg.output_path)]
         if args.command == "sweep-c":
-            stem = cfg.output_path.removesuffix(".csv")
             runs = [
                 (replace(cfg, channel_kind="selective", decay=c), f"{stem}_c{c:g}.csv")
                 for c in (0.25, 1.0)

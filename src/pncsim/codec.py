@@ -79,13 +79,15 @@ class PairEvidence:
 
 @dataclass(eq=False)
 class PairPosterior:
-    """Joint posteriors produced by BP: per-tone symbol pairs and info-bit pairs.
+    """What BP returns: per-tone symbol-pair posteriors and info-bit LLRs.
 
-    ``pair_bit[j]`` is the table over (b_a, b_b) in the order 00, 01, 10, 11.
+    ``info_llr[u, j]`` is log p(b = 0) / p(b = 1) of node u's info bit j,
+    row 0 = node A.  BP gives the two nodes' info bits as independent
+    marginals, so these two rows carry all it knows of the bit pairs.
     """
 
     pair_symbol: np.ndarray  # (n_symbols, Q*Q)
-    pair_bit: np.ndarray  # (k_info, 4)
+    info_llr: np.ndarray  # (2, k_info)
     # the final check outputs (to_prev, to_cur, to_info), (3, 2, n); the
     # ``start`` of a later decode of nearby evidence
     messages: np.ndarray
@@ -193,6 +195,8 @@ class JointPairDecoder:
         finite.  ``start`` holds the check outputs (to_prev, to_cur, to_info)
         the first iteration reads, as ``PairPosterior.messages`` returns them,
         (3, 2, n); None starts from zero messages.  It is copied, never written.
+        Returns the symbol-pair posteriors, each node's info-bit LLRs and the
+        final check outputs.
         """
         if inner_iters < 1:
             raise ValueError("inner_iters must be >= 1")
@@ -249,14 +253,9 @@ class JointPairDecoder:
             # beliefs with the final messages
             beliefs, _ = self._beliefs(log_tables, _extrinsic(to_prev, to_cur))
 
+        # an info bit hears only its three checks, so their sum is its posterior LLR
         info_llr = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
-        # P(bit = 0); info_llr sums three clipped-scale messages, so exp stays finite
-        p0 = 1.0 / (1.0 + np.exp(-info_llr))
-        p0a, p0b = p0[:k], p0[k:]
-        pair_bit = np.stack(
-            [p0a * p0b, p0a * (1 - p0b), (1 - p0a) * p0b, (1 - p0a) * (1 - p0b)], axis=1
-        )
-        pair_bit /= pair_bit.sum(axis=1, keepdims=True)
-
         pair_symbol = np.ascontiguousarray((beliefs / beliefs.sum(axis=0)).T)
-        return PairPosterior(pair_symbol=pair_symbol, pair_bit=pair_bit, messages=outs)
+        return PairPosterior(
+            pair_symbol=pair_symbol, info_llr=info_llr.reshape(2, k), messages=outs
+        )

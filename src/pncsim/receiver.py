@@ -16,7 +16,6 @@ search treats every true drift alike.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +99,11 @@ def ls_pilot_phase(r: np.ndarray, tone_map: ToneMap, h_freq: np.ndarray) -> np.n
     Returns the (m_symbols, 2) phase pairs of the demodulated frame ``r`` in
     [0, 2pi), column 0 = node A.  The pilot symbol is +1, so the correlation
     reference is the known channel, row u of the (2, N) ``h_freq``, on node
-    u's pilot tones, and the angle is the phase drift alone.  A
-    zero-magnitude correlation falls back to the previous symbol's estimate
-    (0 for the first symbol).
+    u's pilot tones, and the angle is the phase drift alone (0 where the
+    correlation is exactly 0).
     """
-    theta = np.empty((r.shape[0], 2))
-    for col, (tones, h) in enumerate(zip(tone_map.pilot_tones, h_freq)):
-        corr = r[:, tones] @ np.conj(h[tones])
-        theta[:, col] = np.angle(corr)
-        for m in np.flatnonzero(corr == 0):  # in order, so a run carries one estimate
-            warnings.warn("zero pilot correlation; reusing previous phase estimate")
-            theta[m, col] = theta[m - 1, col] if m > 0 else 0.0
-    return _wrap(theta)
+    corr = [r[:, tones] @ np.conj(h[tones]) for tones, h in zip(tone_map.pilot_tones, h_freq)]
+    return _wrap(np.angle(np.stack(corr, axis=1)))
 
 
 def pair_evidence(
@@ -341,12 +333,13 @@ class EmBpResult:
     xor_history: np.ndarray  # (em_iters+1, k_info)
 
 
-def pnc_map(pair_bit_posteriors: np.ndarray) -> np.ndarray:
-    """Per-bit XOR decision from (b_a, b_b) tables; ties decide 0."""
-    t = np.asarray(pair_bit_posteriors)
-    p_xor1 = t[:, 1] + t[:, 2]
-    p_xor0 = t[:, 0] + t[:, 3]
-    return (p_xor1 > p_xor0).astype(np.int64)
+def pnc_map(info_llr: np.ndarray) -> np.ndarray:
+    """Per-bit XOR decision from the two nodes' (2, k) info-bit LLRs; ties decide 0.
+
+    For independent bits P(xor = 0) - P(xor = 1) = tanh(L_a / 2) tanh(L_b / 2),
+    so the XOR is 1 exactly where the two LLRs have opposite signs.
+    """
+    return (info_llr[0] * info_llr[1] < 0).astype(np.int64)
 
 
 def em_bp_receive(
@@ -383,7 +376,7 @@ def em_bp_receive(
         evidence = pair_evidence(r, chan, tone_map, constellation, theta, rx_cfg.sigma_w2)
         posterior = decoder.decode(evidence, rx_cfg.bp_iters, start=messages)
         messages = posterior.messages
-        xor_history[k] = pnc_map(posterior.pair_bit)
+        xor_history[k] = pnc_map(posterior.info_llr)
         if k == k_total:
             break
         tables = posterior.pair_symbol.reshape(m_symbols, -1, constellation.size**2)

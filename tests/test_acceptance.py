@@ -340,12 +340,17 @@ class TestCriterion7OracleSuite:
         _report("7c (0-round search == lattice argmax)", True, "exact equality")
 
     def test_d_xor_decision_against_enumeration(self):
+        from scipy.special import expit
+
         from pncsim.receiver import pnc_map
 
         rng = np.random.default_rng(7)
-        tables = rng.random((200, 4)) + 1e-9
-        tables /= tables.sum(axis=1, keepdims=True)
-        got = pnc_map(tables)
+        llrs = rng.uniform(-10.0, 10.0, (2, 200))
+        p0a, p0b = expit(llrs)
+        tables = np.stack(
+            [p0a * p0b, p0a * (1 - p0b), (1 - p0a) * p0b, (1 - p0a) * (1 - p0b)], axis=1
+        )
+        got = pnc_map(llrs)
         expect = (tables[:, 1] + tables[:, 2] > tables[:, 0] + tables[:, 3]).astype(int)
         ok = np.array_equal(got, expect)
         _report("7d (XOR decision vs enumeration)", ok, f"{len(tables)} tables")
@@ -369,6 +374,7 @@ class TestCriterion7OracleSuite:
     def test_f_bp_against_exhaustive_map(self):
         from pncsim.codec import JointPairDecoder, RaCode, ra_encode
         from pncsim.frame import make_constellation
+        from pncsim.receiver import pnc_map
         from tests.test_codec import exhaustive_pair_map, pair_evidence_awgn
 
         con = make_constellation("bpsk")
@@ -386,7 +392,7 @@ class TestCriterion7OracleSuite:
                 ra_encode(info_a, ra), ra_encode(info_b, ra), con, h_a, h_b, sigma2, rng
             )
             post = JointPairDecoder(ra, con).decode(ev, 20)
-            bp_xor = (post.pair_bit[:, 1] + post.pair_bit[:, 2] > 0.5).astype(int)
+            bp_xor = pnc_map(post.info_llr)
             agree += int(np.array_equal(bp_xor, exhaustive_pair_map(ra, ev.tables, con)))
         ok = agree >= 0.95 * trials
         _report("7f (BP vs exhaustive MAP at 6 dB)", ok, f"agreement {agree}/{trials}")

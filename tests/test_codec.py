@@ -90,6 +90,14 @@ class TestRaEncode:
         )
 
 
+def assert_llrs_toward_sent(info_llr, info_a, info_b):
+    """Each node's LLR toward its sent bit exceeds log(2e9), so each marginal
+    puts more than 1 - 5e-10 on the sent bit, and their product (the sent
+    pair's probability) more than 1 - 1e-9."""
+    toward = (1 - 2 * np.stack([info_a, info_b])) * info_llr
+    np.testing.assert_array_less(np.log(2e9), toward)
+
+
 class TestBpDecodeNoiseless:
     @pytest.mark.parametrize("mod", [BPSK, QPSK])
     def test_delta_evidence_gives_delta_posteriors(self, mod):
@@ -101,13 +109,12 @@ class TestBpDecodeNoiseless:
         info_b = rng.integers(0, 2, k)
         ev = delta_evidence(ra_encode(info_a, ra), ra_encode(info_b, ra), con)
         post = JointPairDecoder(ra, con).decode(ev, 20)
-        assert post.pair_bit.shape == (k, 4)
-        true_idx = 2 * info_a + info_b
-        np.testing.assert_array_less(1.0 - 1e-9, post.pair_bit[np.arange(k), true_idx])
+        assert post.info_llr.shape == (2, k)
+        assert_llrs_toward_sent(post.info_llr, info_a, info_b)
         # symbol posteriors are deltas on the transmitted pairs
         np.testing.assert_array_less(1.0 - 1e-9, post.pair_symbol.max(axis=1))
-        xor = (post.pair_bit[:, 1] + post.pair_bit[:, 2] > 0.5).astype(int)
-        np.testing.assert_array_equal(xor, info_a ^ info_b)
+        hard = (post.info_llr < 0).astype(int)
+        np.testing.assert_array_equal(hard[0] ^ hard[1], info_a ^ info_b)
 
     def test_single_iteration_already_delta(self):
         rng = np.random.default_rng(3)
@@ -117,8 +124,7 @@ class TestBpDecodeNoiseless:
         info_b = rng.integers(0, 2, 12)
         ev = delta_evidence(ra_encode(info_a, ra), ra_encode(info_b, ra), con)
         post = JointPairDecoder(ra, con).decode(ev, 1)
-        true_idx = 2 * info_a + info_b
-        np.testing.assert_array_less(1.0 - 1e-9, post.pair_bit[np.arange(12), true_idx])
+        assert_llrs_toward_sent(post.info_llr, info_a, info_b)
 
 
 def single_user_ra_bp(bit_llrs, interleaver, k_info, iters, llr_max=30.0, pin=1e30):
@@ -178,12 +184,9 @@ class TestSingleUserConsistency:
         llr_oracle = single_user_ra_bp(
             np.clip(bit_llrs, -30, 30), ra.interleaver, k, iters=8
         )
-        p_a0 = post.pair_bit[:, 0] + post.pair_bit[:, 1]
-        p_oracle = 1.0 / (1.0 + np.exp(-llr_oracle))
-        np.testing.assert_allclose(p_a0, p_oracle, atol=1e-9)
+        np.testing.assert_allclose(expit(post.info_llr[0]), expit(llr_oracle), atol=1e-9)
         # B stays uninformed
-        p_b0 = post.pair_bit[:, 0] + post.pair_bit[:, 2]
-        np.testing.assert_allclose(p_b0, 0.5, atol=1e-9)
+        np.testing.assert_allclose(expit(post.info_llr[1]), 0.5, atol=1e-9)
 
 
 def exhaustive_pair_map(ra, log_t, constellation):
@@ -235,7 +238,7 @@ class TestAgainstExhaustiveMap:
                 ra_encode(info_a, ra), ra_encode(info_b, ra), con, h_a, h_b, sigma2, rng
             )
             post = JointPairDecoder(ra, con).decode(ev, 20)
-            bp_xor = (post.pair_bit[:, 1] + post.pair_bit[:, 2] > 0.5).astype(int)
+            bp_xor = pnc_map(post.info_llr)
             map_xor = exhaustive_pair_map(ra, ev.tables, con)
             agree += int(np.array_equal(bp_xor, map_xor))
         assert agree >= 0.95 * trials, f"BP agreed with MAP in only {agree}/{trials} trials"
@@ -252,7 +255,7 @@ class TestDecoderProperties:
         ra = RaCode.build(16, seed=2)
         ev = self._random_evidence(0, 24, 16)
         post = JointPairDecoder(ra, con).decode(ev, 5)
-        np.testing.assert_allclose(post.pair_bit.sum(axis=1), 1.0, atol=1e-9)
+        assert post.info_llr.shape == (2, 16) and np.isfinite(post.info_llr).all()
         np.testing.assert_allclose(post.pair_symbol.sum(axis=1), 1.0, atol=1e-9)
 
     @given(st.integers(0, 2**31 - 1))
@@ -262,7 +265,7 @@ class TestDecoderProperties:
         ra = RaCode.build(8, seed=3)
         ev = self._random_evidence(seed, 24, 4)
         post = JointPairDecoder(ra, con).decode(ev, 3)
-        np.testing.assert_allclose(post.pair_bit.sum(axis=1), 1.0, atol=1e-9)
+        assert post.info_llr.shape == (2, 8) and np.isfinite(post.info_llr).all()
         np.testing.assert_allclose(post.pair_symbol.sum(axis=1), 1.0, atol=1e-9)
 
     def test_swap_symmetry(self):
@@ -273,9 +276,7 @@ class TestDecoderProperties:
         swapped = PairEvidence(tables=ev.tables[:, [0, 2, 1, 3]])
         post = JointPairDecoder(ra, con).decode(ev, 10)
         post_sw = JointPairDecoder(ra, con).decode(swapped, 10)
-        np.testing.assert_allclose(
-            post_sw.pair_bit, post.pair_bit[:, [0, 2, 1, 3]], atol=1e-12
-        )
+        np.testing.assert_allclose(post_sw.info_llr, post.info_llr[::-1], atol=1e-12)
         np.testing.assert_allclose(
             post_sw.pair_symbol, post.pair_symbol[:, [0, 2, 1, 3]], atol=1e-12
         )
@@ -312,7 +313,7 @@ class TestDecoderProperties:
         ev = self._random_evidence(1, 24, 16)
         p1 = JointPairDecoder(ra, con).decode(ev, 6)
         p2 = JointPairDecoder(ra, con).decode(ev, 6)
-        np.testing.assert_array_equal(p1.pair_bit, p2.pair_bit)
+        np.testing.assert_array_equal(p1.info_llr, p2.info_llr)
         np.testing.assert_array_equal(p1.pair_symbol, p2.pair_symbol)
 
 
@@ -386,17 +387,14 @@ def reference_decode(ra, constellation, log_tables, iters, llr_max=30.0, pin=1e3
                 "to_cur": boxplus(in_prev, in_info),
                 "to_info": boxplus(in_prev, in_cur),
             }
-    p0 = {
-        u: expit(np.bincount(info_of_check, weights=states[u]["to_info"], minlength=ra.k_info))
-        for u in ("a", "b")
-    }
-    p0a, p0b = p0["a"], p0["b"]
-    pair_bit = np.stack(
-        [p0a * p0b, p0a * (1 - p0b), (1 - p0a) * p0b, (1 - p0a) * (1 - p0b)], axis=1
+    info_llr = np.stack(
+        [
+            np.bincount(info_of_check, weights=states[u]["to_info"], minlength=ra.k_info)
+            for u in ("a", "b")
+        ]
     )
-    pair_bit /= pair_bit.sum(axis=1, keepdims=True)
     _, full = evidence_llrs({u: v2e_of(states[u]) for u in ("a", "b")})
-    return pair_bit, np.exp(full - logsumexp(full, axis=1, keepdims=True))
+    return info_llr, np.exp(full - logsumexp(full, axis=1, keepdims=True))
 
 
 class TestMatchesReferenceDecoder:
@@ -423,10 +421,12 @@ class TestMatchesReferenceDecoder:
             h_b = 0.8 * np.exp(1j * rng.uniform(0, 2 * np.pi))
             ev, _ = pair_evidence_awgn(coded_a, coded_b, con, h_a, h_b, sigma2, rng)
         post = JointPairDecoder(ra, con).decode(ev, iters)
-        ref_bit, ref_symbol = reference_decode(ra, con, ev.tables, iters)
-        np.testing.assert_allclose(post.pair_bit, ref_bit, rtol=0, atol=1e-10)
+        ref_llr, ref_symbol = reference_decode(ra, con, ev.tables, iters)
+        # each (b_a, b_b) entry is a product of two marginals, so P(bit = 0)
+        # at atol 5e-11 per node bounds the pair table at the old 1e-10
+        np.testing.assert_allclose(expit(post.info_llr), expit(ref_llr), rtol=0, atol=5e-11)
         np.testing.assert_allclose(post.pair_symbol, ref_symbol, rtol=0, atol=1e-10)
-        np.testing.assert_array_equal(pnc_map(post.pair_bit), pnc_map(ref_bit))
+        np.testing.assert_array_equal(pnc_map(post.info_llr), pnc_map(ref_llr))
 
 
 def flat_frame_evidence(mod, ebn0_db, seed):
@@ -468,7 +468,7 @@ class TestFixedPointExit:
             assert matches == [False] * 20
         monkeypatch.setattr(codec, "_same_messages", lambda a, b: False)
         full = decoder.decode(ev, 20)
-        assert post.pair_bit.tobytes() == full.pair_bit.tobytes()
+        assert post.info_llr.tobytes() == full.info_llr.tobytes()
         assert post.pair_symbol.tobytes() == full.pair_symbol.tobytes()
 
 
@@ -491,7 +491,7 @@ class TestWarmStart:
         monkeypatch.setattr(codec, "_same_messages", recorded)
         warm = decoder.decode(ev, 20, start=cold.messages)
         assert matches == [True]
-        for name in ("pair_bit", "pair_symbol", "messages"):
+        for name in ("info_llr", "pair_symbol", "messages"):
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
 
     def test_start_is_not_written(self):
@@ -522,6 +522,8 @@ class TestShiftInvariance:
         shift = np.random.default_rng(5).uniform(-50.0, 50.0, (len(ev.tables), 1))
         post = decoder.decode(ev, 20)
         moved = decoder.decode(PairEvidence(tables=ev.tables + shift), 20)
-        np.testing.assert_array_equal(pnc_map(moved.pair_bit), pnc_map(post.pair_bit))
+        np.testing.assert_array_equal(pnc_map(moved.info_llr), pnc_map(post.info_llr))
         np.testing.assert_allclose(moved.pair_symbol, post.pair_symbol, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(moved.pair_bit, post.pair_bit, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            expit(moved.info_llr), expit(post.info_llr), rtol=0, atol=5e-13
+        )

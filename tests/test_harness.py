@@ -746,8 +746,10 @@ class TestConfigFileAndCli:
             ("[receiver]\nem_bp_k = 2, 2\n", [], "em_bp_k"),
             ("[receiver]\nreceivers = baseline, baseline, em_bp\n", [], "receivers"),
             ("[run]\n", ["--out", "."], "is a directory"),
-            ("[run]\nout =\n", [], "output path is empty"),
-            ("[run]\n", ["--out", ""], "output path is empty"),
+            ("[run]\nout =\n", [], "output path '' has an empty file name"),
+            ("[run]\n", ["--out", ""], "output path '' has an empty file name"),
+            ("[run]\nout = .csv\n", [], "output path '.csv' has an empty file name"),
+            ("[run]\n", ["--out", ".csv"], "output path '.csv' has an empty file name"),
             ("[receiver]\nparticle_l = 3000\n", [], "GiB limit"),
             ("[frame]\nm_symbols = 2000000\n", [], "GiB limit"),
         ],
@@ -762,7 +764,7 @@ class TestConfigFileAndCli:
             "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
             "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
             "cli-snr-named", "em-bp-k-repeated", "receivers-repeated", "cli-out-is-dir",
-            "out-empty", "cli-out-empty",
+            "out-empty", "cli-out-empty", "out-dot-csv", "cli-out-dot-csv",
             "trial-too-big-particles", "trial-too-big-frame",
         ],
     )
@@ -781,18 +783,26 @@ class TestConfigFileAndCli:
         if named is not None:
             assert named in err
 
-    def test_cli_sweep_c_rejects_empty_out(self, tmp_path, capsys, monkeypatch):
-        """An empty prefix would write _c0.25.csv and _c1.csv to the working
-        directory; it exits 2 before any trial, as for ``run``."""
+    @pytest.mark.parametrize(
+        "out", ["", ".csv", "sub/.csv"], ids=["empty", "dot-csv", "sub-dot-csv"]
+    )
+    def test_cli_sweep_c_rejects_empty_out(self, tmp_path, capsys, monkeypatch, out):
+        """A prefix with an empty file name would write _c0.25.csv and
+        _c1.csv to its directory; it exits 2 before any trial, as for ``run``."""
 
         def no_run(cfg):
             raise AssertionError("an invalid config reached run_experiment")
 
         monkeypatch.setattr(harness, "run_experiment", no_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
         path = tmp_path / "bad.ini"
-        path.write_text("[run]\nout =\n")
+        path.write_text(f"[run]\nout = {out}\n")
         assert cli.main(["sweep-c", str(path)]) == 2
-        assert capsys.readouterr().err == "error: invalid config: output path is empty\n"
+        assert capsys.readouterr().err == (
+            f"error: invalid config: output path {out!r} has an empty file name\n"
+        )
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.ini", "sub"]
 
     def test_readme_and_workload_inis_load(self, tmp_path):
         """The README example and the benchmark workloads load, and the

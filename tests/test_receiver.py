@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import pncsim.receiver as receiver_mod
 from pncsim.channel import (
@@ -186,33 +187,14 @@ class TestLsPilotPhase:
         assert errs[2].var() < errs[1].var()
 
     def test_zero_correlation_falls_back(self, cfg):
+        """Silent pilots correlate to exactly 0, whose angle is 0, and no
+        warning is raised."""
         tm = cfg.tone_map()
         freq = np.zeros((cfg.m_symbols, 64), dtype=complex)
-        with pytest.warns(UserWarning, match="zero pilot correlation"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             est = ls_pilot_phase(freq, tm, np.ones((2, 64), complex))
         np.testing.assert_array_equal(est, 0.0)
-
-    def test_zero_correlation_carries_previous_estimate(self):
-        """Node A's pilots are silent at symbols 0, 3 and 4: symbol 0 falls
-        back to 0, symbols 3 and 4 both carry symbol 2's estimate, and node
-        B's column does not move."""
-        cfg = default_config(QPSK, 6, 0)
-        tm = cfg.tone_map()
-        chan = unit_taps_channel(phase_a=0.9, phase_b=-1.2)
-        theta = np.linspace(0.3, 1.8, cfg.m_symbols)[:, None] * [1.0, -1.0]
-        freq, _, _ = _received_with_phases(cfg, theta, chan)
-        clean = ls_pilot_phase(freq, tm, chan.h_freq)
-        freq[np.ix_([0, 3, 4], tm.pilot_tones[0])] = 0.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            est = ls_pilot_phase(freq, tm, chan.h_freq)
-        assert [str(w.message) for w in caught] == [
-            "zero pilot correlation; reusing previous phase estimate"
-        ] * 3
-        assert est[0, 0] == 0.0
-        assert est[3, 0] == est[4, 0] == est[2, 0] != 0.0
-        np.testing.assert_array_equal(est[[1, 2, 5], 0], clean[[1, 2, 5], 0])
-        np.testing.assert_array_equal(est[:, 1], clean[:, 1])
 
 
 def oracle_evidence(r_tone, h_a, h_b, theta, points, sigma_w2):
@@ -772,33 +754,37 @@ class TestParticleMStep:
         assert ok_fine >= 0.90 * trials
 
 
+_LLR_DRAW = st.one_of(st.just(0.0), st.floats(1e-3, 90.0), st.floats(-90.0, -1e-3))
+
+
 class TestPncMap:
+    """``pnc_map`` takes (2, k) info-bit LLRs, row 0 = node A."""
+
     def test_delta_posterior(self):
-        assert pnc_map(np.array([[0.0, 0.0, 1.0, 0.0]]))[0] == 1  # (1,0) -> xor 1
-        assert pnc_map(np.array([[1.0, 0.0, 0.0, 0.0]]))[0] == 0
+        assert pnc_map(np.array([[-50.0], [50.0]]))[0] == 1  # (1,0) -> xor 1
+        assert pnc_map(np.array([[50.0], [50.0]]))[0] == 0
 
     def test_documented_example(self):
-        assert pnc_map(np.array([[0.4, 0.1, 0.1, 0.4]]))[0] == 0  # P(xor=0)=0.8
+        # p0 = (0.8, 0.9): table (0.72, 0.08, 0.18, 0.02), P(xor=0) = 0.74
+        assert pnc_map(np.log([[4.0], [9.0]]))[0] == 0
+        # p0 = (0.8, 0.1): table (0.08, 0.72, 0.02, 0.18), P(xor=0) = 0.26
+        assert pnc_map(np.log([[4.0], [1 / 9]]))[0] == 1
 
     def test_tie_breaks_to_zero(self):
-        assert pnc_map(np.array([[0.25, 0.25, 0.25, 0.25]]))[0] == 0
+        assert pnc_map(np.array([[0.0], [0.0]]))[0] == 0
+        assert pnc_map(np.array([[0.0], [-3.0]]))[0] == 0  # one node uninformed
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.001, 1.0), st.floats(0.001, 1.0),
-                st.floats(0.001, 1.0), st.floats(0.001, 1.0),
-            ),
-            min_size=1,
-            max_size=16,
-        )
-    )
+    @given(st.lists(st.tuples(_LLR_DRAW, _LLR_DRAW), min_size=1, max_size=16))
     @settings(max_examples=50, deadline=None)
-    def test_matches_enumeration_oracle(self, rows):
-        tables = np.array(rows)
-        tables /= tables.sum(axis=1, keepdims=True)
-        got = pnc_map(tables)
-        for j, t in enumerate(tables):
+    def test_matches_enumeration_oracle(self, pairs):
+        """The sign product agrees with enumerating each pair's (b_a, b_b)
+        product table.  |LLR| is drawn from [1e-3, 90] or exactly 0 (a tie):
+        where |llr_a * llr_b| is below about 1e-16 the enumeration's own float
+        sums round to a tie, while the sign product is the exact answer."""
+        llrs = np.array(pairs).T
+        got = pnc_map(llrs)
+        for j, (p0a, p0b) in enumerate(expit(llrs).T):
+            t = [p0a * p0b, p0a * (1 - p0b), (1 - p0a) * p0b, (1 - p0a) * (1 - p0b)]
             p = {0: t[0] + t[3], 1: t[1] + t[2]}
             expect = 1 if p[1] > p[0] else 0
             assert got[j] == expect
@@ -836,7 +822,7 @@ class TestEmBpReceive:
         est = ls_pilot_phase(freq, tm, chan.h_freq)
         ev = pair_evidence(freq, chan, tm, con, est, rx_cfg.sigma_w2)
         post = JointPairDecoder(ra, con).decode(ev, rx_cfg.bp_iters)
-        np.testing.assert_array_equal(out.xor_history[-1], pnc_map(post.pair_bit))
+        np.testing.assert_array_equal(out.xor_history[-1], pnc_map(post.info_llr))
         np.testing.assert_array_equal(out.theta_history[-1], est)
 
     def test_round_zero_decodes_cold(self, cfg):
@@ -847,7 +833,7 @@ class TestEmBpReceive:
         )
         ev = pair_evidence(freq, chan, tm, con, out.theta_history[0], rx_cfg.sigma_w2)
         post = JointPairDecoder(ra, con).decode(ev, rx_cfg.bp_iters)
-        np.testing.assert_array_equal(out.xor_history[0], pnc_map(post.pair_bit))
+        np.testing.assert_array_equal(out.xor_history[0], pnc_map(post.info_llr))
 
     def test_frame_that_does_not_fill_the_code_is_rejected(self, cfg):
         """M is read from the frame: 4 demodulated symbols given to a decoder
