@@ -320,9 +320,9 @@ def trial_runner(cfg: ExperimentConfig):
     """Yield ``(ctx, run)``: ``run(snr_idx, start, stop)`` returns the
     TrialMetrics of trials [start, stop) of one SNR point, in trial order.
     The calling process and min(jobs, trials_per_snr, usable CPUs) - 1 pool
-    workers, one task each per call and alive until the with block ends,
-    take the trial indices from one shared counter, so the list is the same
-    for any jobs."""
+    workers, one task each per call and stopped when the with block ends,
+    on an error or interrupt too, take the trial indices from one shared
+    counter, so the list is the same for any jobs."""
     ctx = _make_context(cfg)
     next_trial = multiprocessing.Value("q", 0)
     pool = None
@@ -344,9 +344,10 @@ def trial_runner(cfg: ExperimentConfig):
     try:
         yield ctx, run
     finally:
+        # every task has returned on the normal path; after an error or an
+        # interrupt a task may never return, and only terminate ends its pool
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.terminate()
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

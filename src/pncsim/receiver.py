@@ -6,11 +6,12 @@ references, then runs one joint BP decode.  The EM-BP receiver iterates:
 decode with the current phase pair, then re-estimate each OFDM symbol's
 phase pair by maximizing the posterior-weighted fit of the received tones
 with a shrinking particle grid, and finally decodes once more with the
-converged phases before taking the per-bit XOR decision.  Each M-step is
-one objective build and 1 + em_refine_passes particle searches, each
-batched over all M symbols.  The grid's full-plane lattice is anchored at
-each symbol's running phase estimate, not at absolute phase 0, so the
-search treats every true drift alike.
+converged phases before taking the per-bit XOR decision.  The phase
+objective is built once per frame, with the frame's fixed terms, and each
+M-step refits it to the round's posterior before 1 + em_refine_passes
+particle searches, each batched over all M symbols.  The grid's full-plane
+lattice is anchored at each symbol's running phase estimate, not at
+absolute phase 0, so the search treats every true drift alike.
 """
 
 from __future__ import annotations
@@ -140,20 +141,24 @@ def pair_evidence(
 class PhaseObjective:
     """Posterior-weighted fit of the OFDM symbols' phase drift pairs.
 
-    value(theta_a, theta_b) returns the negative expected squared residual
-    of each symbol's received occupied tones against the phase-rotated
-    hypothesis: data tones averaged over the decoder's joint symbol
-    posterior, and each node's pilot tones against the known +1 that node
-    sends on its own pilot tones (the other node sends nothing on them).
-    ``h_data`` is the (2, N_d) channel pair on the data tones, and
-    ``pilots`` holds, node A first, each node's (r_p, h_p) pair of the
-    received pilot tones and its channel there, taken from a ``ToneMap``;
-    ``pilots=()`` leaves the data-only objective.  Larger is
-    better; exactly 0 only for a perfect noiseless fit.  The sums over
-    tones and symbol pairs are folded into four sufficient statistics c0,
-    s_a, s_b, s_ab, so evaluation is O(1) per phase pair.  They are (M,)
-    arrays for (M, N_d) data tones with an (M, N_d, Q^2) posterior, and
-    scalars for one symbol's (N_d,) row.
+    value(theta_a, theta_b) returns, up to a per-symbol constant, the
+    negative expected squared residual of each symbol's received occupied
+    tones against the phase-rotated hypothesis: data tones averaged over
+    the decoder's joint symbol posterior, and each node's pilot tones
+    against the known +1 that node sends on its own pilot tones (the other
+    node sends nothing on them).  The constant is every term that no phase
+    changes: the received, hypothesis and pilot energies.  Like the pair
+    evidence, the objective is known only up to it, which moves no argmax
+    and no comparison of one symbol's phase pairs.  Larger is better.
+    ``r_data`` is a frame's (M, N_d) data tones with an (M, N_d, Q^2)
+    ``posterior``, ``h_data`` the (2, N_d) channel pair on the data tones,
+    and ``pilots`` holds, node A first, each node's (r_p, h_p) pair of the
+    (M, P) received pilot tones and its channel there, taken from a
+    ``ToneMap``; ``pilots=()`` leaves the data-only objective.  The sums
+    over tones and symbol pairs are folded into the (M, 3) complex
+    ``stats`` = [s_a, s_b, s_ab], so value(theta_a, theta_b) is
+    2 Re(s_a e^{j theta_a} + s_b e^{j theta_b} - s_ab e^{j(theta_a - theta_b)}),
+    O(1) per phase pair.
     """
 
     def __init__(
@@ -164,40 +169,36 @@ class PhaseObjective:
         constellation: Constellation,
         pilots=(),
     ):
+        if np.ndim(r_data) != 2:
+            raise ValueError(f"r_data must be (M, N_d) data tones, got shape {np.shape(r_data)}")
         # All but the posterior is fixed for a frame and kept for fit: one
-        # real matmul gives each tone's posterior means of |X_a|^2, |X_b|^2,
-        # X_a, X_b and X_a conj(X_b); one weighted sum over the tones
-        # follows, so no (..., N_d, Q^2) product is built.
-        pair = lambda a, b: np.array([abs(a) ** 2, abs(b) ** 2, a, b, a * np.conj(b)]).T
+        # real matmul gives each tone's posterior means of X_a, X_b and
+        # X_a conj(X_b); one weighted sum over the tones follows, so no
+        # (M, N_d, Q^2) product is built.
+        pair = lambda a, b: np.array([a, b, a * np.conj(b)]).T
         q, points = constellation.size, constellation.points
         xa, xb = points.repeat(q), np.tile(points, q)  # joint entry a*Q + b
         self._terms = np.ascontiguousarray(pair(xa, xb)).view(np.float64)
         self._r_conj = np.conj(r_data)[..., None]
         self._h_pair = pair(*h_data)
-        self._r_energy = (np.abs(r_data) ** 2).sum(axis=-1)
         # pilot tones: the owner's +1 through its channel, silence from the other
-        self._pilots = []
-        for col, (r_p, h_p) in zip((2, 3), pilots):
-            energy = (np.abs(r_p) ** 2).sum(axis=-1) + (np.abs(h_p) ** 2).sum()
-            self._pilots.append((col, energy, np.conj(r_p) @ h_p))
+        self._pilot_corr = [np.conj(r_p) @ h_p for r_p, h_p in pilots]
         self.fit(posterior)
 
     def fit(self, posterior: np.ndarray) -> PhaseObjective:
         """Set the statistics for ``posterior``, another posterior of the same
         frame, in place; returns self."""
-        means = (posterior @ self._terms).view(np.complex128)  # (..., N_d, 5)
-        means[..., 2:4] *= self._r_conj
-        stats = (means * self._h_pair).sum(axis=-2)
-        self.c0 = self._r_energy + stats[..., 0].real + stats[..., 1].real
-        for col, energy, corr in self._pilots:
-            self.c0 += energy
-            stats[..., col] += corr
-        self.s_a, self.s_b, self.s_ab = stats[..., 2], stats[..., 3], stats[..., 4]
+        means = (posterior @ self._terms).view(np.complex128)  # (M, N_d, 3)
+        means[..., :2] *= self._r_conj
+        self.stats = (means * self._h_pair).sum(axis=1)
+        for col, corr in enumerate(self._pilot_corr):
+            self.stats[:, col] += corr
         return self
 
     def value(self, theta_a, theta_b):
-        rotated = self.s_a * np.exp(1j * theta_a) + self.s_b * np.exp(1j * theta_b)
-        return 2.0 * (rotated - self.s_ab * np.exp(1j * (theta_a - theta_b))).real - self.c0
+        s_a, s_b, s_ab = self.stats.T
+        rotated = s_a * np.exp(1j * theta_a) + s_b * np.exp(1j * theta_b)
+        return 2.0 * (rotated - s_ab * np.exp(1j * (theta_a - theta_b))).real
 
 
 def build_phase_objective(
@@ -207,14 +208,13 @@ def build_phase_objective(
     constellation: Constellation,
     posterior: np.ndarray,
 ) -> PhaseObjective:
-    """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, or
-    for one (N,) row under its (N_d, Q^2) posterior, with the pilot anchors:
-    each node sends the known +1 on its own ``tone_map`` pilot tones and
-    nothing on the other node's, so any per-node pilot split, another
-    ``pilot_tones`` pair, anchors the phases the same way."""
+    """Objective for the (M, N) tones under the (M, N_d, Q^2) posterior, with
+    the pilot anchors: each node sends the known +1 on its own ``tone_map``
+    pilot tones and nothing on the other node's, so any per-node pilot
+    split, another ``pilot_tones`` pair, anchors the phases the same way."""
     data = tone_map.data_tones
-    pilots = [(r[..., tones], h[tones]) for tones, h in zip(tone_map.pilot_tones, chan.h_freq)]
-    return PhaseObjective(r[..., data], chan.h_freq[:, data], posterior, constellation, pilots)
+    pilots = [(r[:, tones], h[tones]) for tones, h in zip(tone_map.pilot_tones, chan.h_freq)]
+    return PhaseObjective(r[:, data], chan.h_freq[:, data], posterior, constellation, pilots)
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,12 +239,12 @@ def _lattice(l_grid: int, span: float | None, rho: float) -> tuple[np.ndarray, n
 _ANGLES = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
 
 
-def _lattice_values(stats: np.ndarray, c0: np.ndarray, centre: np.ndarray, lattice) -> np.ndarray:
+def _lattice_values(stats: np.ndarray, centre: np.ndarray, lattice) -> np.ndarray:
     """Objective (M, L^2) on the lattice around the (M, 2) centres (c_a, c_b):
     the real view of the (M, 3) s_a e^{jc_a}, s_b e^{jc_b}, s_ab e^{j(c_a-c_b)}
-    times the phasor table, less the (M, 1) c0."""
+    times the phasor table."""
     rotated = stats * np.exp(1j * (centre @ _ANGLES))
-    return rotated.view(np.float64) @ lattice[1] - c0
+    return rotated.view(np.float64) @ lattice[1]
 
 
 def particle_m_step(
@@ -255,9 +255,9 @@ def particle_m_step(
 ) -> np.ndarray:
     """Maximize the symbols' phase objectives with a shrinking particle grid.
 
-    ``prev_theta`` is (M, 2) for an objective over M symbols or (2,) for
-    one, and so is the result.  With L = particle_l, start from an L x L
-    lattice per row: with ``span`` None the full plane anchored at
+    ``prev_theta`` and the result are the (M, 2) phases of an objective
+    over M symbols.  With L = particle_l, start from an L x L lattice per
+    row: with ``span`` None the full plane anchored at
     ``prev_theta`` (prev_theta + 2pi*i/L), else a window of ``span`` per
     axis centred on ``prev_theta``; for each of particle_rounds rounds,
     weight a row's particles by exp((value - row max)/sigma_w2) and pull
@@ -278,31 +278,27 @@ def particle_m_step(
     ``prev_theta`` by the same pair rotates the result by that pair; no
     absolute phase is ever favoured as a candidate.
     """
-    prev = np.asarray(prev_theta, dtype=float)
-    centre = prev.reshape(-1, 2)
-    stats = np.stack([objective.s_a, objective.s_b, objective.s_ab], axis=-1).reshape(-1, 3)
-    c0 = np.reshape(objective.c0, (-1, 1))
+    centre = prev_theta
     l_grid, shrink, rho = rx_cfg.particle_l, rx_cfg.particle_shrink, 1.0
     lattice = _lattice(l_grid, span, rho)
-    vals = grid0_vals = _lattice_values(stats, c0, centre, lattice)
+    vals = grid0_vals = _lattice_values(objective.stats, centre, lattice)
     grid0_best = centre + lattice[0][grid0_vals.argmax(axis=1)]
     for _ in range(rx_cfg.particle_rounds):
         weights = np.exp((vals - vals.max(axis=1, keepdims=True)) / rx_cfg.sigma_w2)
         centre = centre + shrink * (weights @ lattice[0]) / weights.sum(axis=1, keepdims=True)
         rho *= 1.0 - shrink
         lattice = _lattice(l_grid, span, rho)
-        vals = _lattice_values(stats, c0, centre, lattice)
+        vals = _lattice_values(objective.stats, centre, lattice)
 
     best = centre + lattice[0][vals.argmax(axis=1)]
     # never return a particle worse than the coarse grid argmax
     coarse = grid0_vals.max(axis=1) > vals.max(axis=1)
-    best = _wrap(np.where(coarse[:, None], grid0_best, best))
-    return best.reshape(prev.shape)
+    return _wrap(np.where(coarse[:, None], grid0_best, best))
 
 
 def m_step(objective: PhaseObjective, theta: np.ndarray, rx_cfg: ReceiverConfig) -> np.ndarray:
-    """One EM M-step on the (M, 2) phases of an M-symbol objective, or the
-    (2,) phases of one symbol, in 1 + em_refine_passes particle searches.
+    """One EM M-step on the (M, 2) phases of an M-symbol objective, in
+    1 + em_refine_passes particle searches.
 
     Stage 0 searches the full plane anchored at the running estimate; each
     later stage a window centred on it, its span shrunk from 2pi by

@@ -5,6 +5,8 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -169,8 +171,8 @@ _GOLDEN_ROWS = {
     ],
     "flat-qpsk-em7": [
         ("baseline", 0, 8.0, 1254, 7680, 24, 0.20714726075508172, 0.2380986899457508),
-        ("em_bp", 1, 8.0, 1205, 7680, 24, 0.1854987534844754, 0.2138000224935542),
-        ("em_bp", 7, 8.0, 1157, 7680, 24, 0.1776059024188585, 0.21228154674192756),
+        ("em_bp", 1, 8.0, 1205, 7680, 24, 0.18549875348447534, 0.2138000224935542),
+        ("em_bp", 7, 8.0, 1157, 7680, 24, 0.17760590241885846, 0.21228154674192756),
     ],
     "bpsk-pilot-only": [
         ("baseline", 0, 8.0, 647, 3840, 24, 0.3415182058195861, 0.3349610224299652),
@@ -179,11 +181,33 @@ _GOLDEN_ROWS = {
         ("baseline", 0, 6.0, 1554, 7680, 24, 0.16177894773591026, 0.17720330240440643),
         ("baseline", 0, 10.0, 274, 7680, 24, 0.07983356145508118, 0.1317950328924206),
         ("em_bp", 1, 6.0, 1066, 7680, 24, 0.09469977146715232, 0.09962201832055034),
-        ("em_bp", 1, 10.0, 134, 7680, 24, 0.02981384769334665, 0.06626814233148291),
-        ("em_bp", 7, 6.0, 367, 7680, 24, 0.06286592827545116, 0.026213447107158606),
-        ("em_bp", 7, 10.0, 111, 7680, 24, 0.036030656669553504, 0.05820279112482044),
+        ("em_bp", 1, 10.0, 134, 7680, 24, 0.02981384769334665, 0.0662681423314829),
+        ("em_bp", 7, 6.0, 367, 7680, 24, 0.06286592827529425, 0.02621344710729144),
+        ("em_bp", 7, 10.0, 111, 7680, 24, 0.03603065666955687, 0.05820279112482077),
     ],
 }
+
+
+# `pnc-sim run` on argv[2:] whose every process, on its first trial, leaves
+# a file named by its pid in the directory argv[1]
+_MARKED_CLI = """
+import os, sys
+from pncsim import cli, harness
+trial = harness.run_single_trial
+def marked(ctx, snr_idx, trial_idx):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    return trial(ctx, snr_idx, trial_idx)
+harness.run_single_trial = marked
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestRunExperiment:
@@ -394,6 +418,45 @@ class TestRunExperiment:
         assert multiprocessing.active_children() == []
         assert others.value < 12
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a pool worker")
+    def test_interrupt_ends_a_parallel_run(self, tmp_path):
+        """SIGINT to the process group of a two-job ``pnc-sim run``, as
+        Ctrl-C sends it, once the calling process and the pool worker both
+        run trials, ends the run by the interrupt within 20 s and leaves no
+        process of the group.  The worker's task dies with the interrupt, so
+        a pool shutdown that waits for its result would wait forever; the
+        subprocess timeout fails the test instead of hanging it."""
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        ini = tmp_path / "long.ini"
+        ini.write_text(
+            "[frame]\nmodulation = bpsk\nm_symbols = 2\n[receiver]\nreceivers = baseline\n"
+            "[run]\nsnr_db = 8\ntrials_per_snr = 1000000\nmin_errors = 1000000000\njobs = 2\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _MARKED_CLI, str(marks), "run", str(ini),
+             "--out", str(tmp_path / "out.csv")],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            start_new_session=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(marks.iterdir())) < 2 and proc.poll() is None:
+                assert time.monotonic() < deadline, "the run never started its trials"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=20) == -signal.SIGINT
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        deadline = time.monotonic() + 5
+        while _group_alive(proc.pid):  # an orphaned worker keeps the group
+            assert time.monotonic() < deadline, "a process of the run outlived it"
+            time.sleep(0.05)
+
     def test_trial_range_matches_serial_trials(self):
         """Trials [5, 13) of the second SNR point come back in trial order,
         bit for bit the same as serial run_single_trial calls, for jobs = 1,
@@ -496,7 +559,20 @@ class TestRunExperiment:
         (em_bp, 7, 6.0)  mse_a 0.06286592827582294 -> 0.06286592827545116,
                          mse_b 0.026213447106932578 -> 0.026213447107158606;
         (em_bp, 7, 10.0) mse_a 0.03603065666955303 -> 0.036030656669553504,
-                         mse_b 0.05820279112481713 -> 0.05820279112482044."""
+                         mse_b 0.05820279112481713 -> 0.05820279112482044.
+        They were re-recorded again when the phase objective dropped the
+        per-symbol constant that no phase changes (its values, and with
+        them the particle weights and the keep rule, round differently),
+        with every count and the tiny config's rows unchanged; old -> new:
+        flat-qpsk-em7
+        (em_bp, 1, 8.0)  mse_a 0.1854987534844754 -> 0.18549875348447534;
+        (em_bp, 7, 8.0)  mse_a 0.1776059024188585 -> 0.17760590241885846;
+        selective-refine-sweep
+        (em_bp, 1, 10.0) mse_b 0.06626814233148291 -> 0.0662681423314829;
+        (em_bp, 7, 6.0)  mse_a 0.06286592827545116 -> 0.06286592827529425,
+                         mse_b 0.026213447107158606 -> 0.02621344710729144;
+        (em_bp, 7, 10.0) mse_a 0.036030656669553504 -> 0.03603065666955687,
+                         mse_b 0.05820279112482044 -> 0.05820279112482077."""
         if case == "tiny-selective":
             cfg = _tiny_config(
                 snr_db_list=(6.0, 10.0),

@@ -333,60 +333,75 @@ def oracle_objective(theta_pair, r_data, h_a, h_b, posterior, points):
     return total
 
 
+def assert_equal_up_to_constant(got, expect, atol):
+    """got - expect is one constant, to atol, at every sample of axis 0:
+    the objective is known only up to a per-symbol constant."""
+    diff = np.asarray(got) - np.asarray(expect)
+    assert np.all(np.abs(diff - diff[0]) < atol), diff
+
+
 class TestPhaseObjective:
     def _random_setup(self, cfg, seed):
+        """One symbol's (1, N_d) tones, channels and (1, N_d, Q^2) posterior."""
         rng = np.random.default_rng(seed)
         tm, con = cfg.tone_map(), cfg.constellation()
         data = tm.data_tones
-        r = rng.standard_normal(len(data)) + 1j * rng.standard_normal(len(data))
+        r = rng.standard_normal((1, len(data))) + 1j * rng.standard_normal((1, len(data)))
         h_a = rng.standard_normal(len(data)) + 1j * rng.standard_normal(len(data))
         h_b = rng.standard_normal(len(data)) + 1j * rng.standard_normal(len(data))
-        post = rng.random((len(data), con.size**2))
-        post /= post.sum(axis=1, keepdims=True)
+        post = rng.random((1, len(data), con.size**2))
+        post /= post.sum(axis=2, keepdims=True)
         return con, r, h_a, h_b, post
 
     def test_matches_brute_force(self, cfg):
+        """value - brute force is the same constant at every sampled pair, to 1e-10."""
         con, r, h_a, h_b, post = self._random_setup(cfg, 21)
         obj = PhaseObjective(r, (h_a, h_b), post, con)
         rng = np.random.default_rng(22)
+        got, expect = [], []
         for _ in range(6):
             th = rng.uniform(0, 2 * np.pi, 2)
-            expect = oracle_objective(th, r, h_a, h_b, post, con.points)
-            assert abs(obj.value(th[0], th[1]) - expect) < 1e-10
+            got.append(obj.value(th[0], th[1])[0])
+            expect.append(oracle_objective(th, r[0], h_a, h_b, post[0], con.points))
+        assert_equal_up_to_constant(got, expect, 1e-10)
+
+    def test_rejects_single_row(self, cfg):
+        con, r, h_a, h_b, post = self._random_setup(cfg, 21)
+        with pytest.raises(ValueError, match=r"r_data must be \(M, N_d\) data tones"):
+            PhaseObjective(r[0], (h_a, h_b), post[0], con)
 
     def test_free_function_matches_brute_force(self, cfg):
         """Whole-symbol objective: posterior-weighted data tones plus the
         known-symbol pilot tones (the other node is silent on them)."""
         rng = np.random.default_rng(30)
         tm, con = cfg.tone_map(), cfg.constellation()
-        chan = sample_selective(4, 1.0, rng)
-        r_sym = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        post = rng.random((len(tm.data_tones), con.size**2))
-        post /= post.sum(axis=1, keepdims=True)
-        th = (1.1, 4.2)
-        got = build_phase_objective(r_sym, chan, tm, con, post).value(*th)
-        expect = oracle_objective(
-            th, r_sym[tm.data_tones], chan.h_freq[0][tm.data_tones],
-            chan.h_freq[1][tm.data_tones], post, con.points,
-        )
-        for tone in tm.pilot_tones[0]:
-            hyp = np.exp(1j * th[0]) * chan.h_freq[0][tone]
-            expect -= abs(r_sym[tone] - hyp) ** 2
-        for tone in tm.pilot_tones[1]:
-            hyp = np.exp(1j * th[1]) * chan.h_freq[1][tone]
-            expect -= abs(r_sym[tone] - hyp) ** 2
-        assert abs(got - expect) < 1e-10
         data = tm.data_tones
-        got_data_only = PhaseObjective(
-            r_sym[data], chan.h_freq[:, data], post, con
-        ).value(*th)
-        expect_data_only = oracle_objective(
-            th, r_sym[tm.data_tones], chan.h_freq[0][tm.data_tones],
-            chan.h_freq[1][tm.data_tones], post, con.points,
-        )
-        assert abs(got_data_only - expect_data_only) < 1e-10
+        chan = sample_selective(4, 1.0, rng)
+        r_sym = rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
+        post = rng.random((1, len(data), con.size**2))
+        post /= post.sum(axis=2, keepdims=True)
+        obj = build_phase_objective(r_sym, chan, tm, con, post)
+        data_only = PhaseObjective(r_sym[:, data], chan.h_freq[:, data], post, con)
+        got, got_data_only, expect, expect_data_only = [], [], [], []
+        for th in [(1.1, 4.2), (0.3, 2.9), (5.0, 0.7)]:
+            got.append(obj.value(*th)[0])
+            got_data_only.append(data_only.value(*th)[0])
+            expect_data_only.append(oracle_objective(
+                th, r_sym[0, data], chan.h_freq[0][data], chan.h_freq[1][data], post[0],
+                con.points,
+            ))
+            pilot_fit = 0.0
+            for tone in tm.pilot_tones[0]:
+                hyp = np.exp(1j * th[0]) * chan.h_freq[0][tone]
+                pilot_fit -= abs(r_sym[0, tone] - hyp) ** 2
+            for tone in tm.pilot_tones[1]:
+                hyp = np.exp(1j * th[1]) * chan.h_freq[1][tone]
+                pilot_fit -= abs(r_sym[0, tone] - hyp) ** 2
+            expect.append(expect_data_only[-1] + pilot_fit)
+        assert_equal_up_to_constant(got, expect, 1e-10)
+        assert_equal_up_to_constant(got_data_only, expect_data_only, 1e-10)
 
-    def test_noiseless_delta_posterior_peak_is_zero_at_truth(self, cfg):
+    def test_noiseless_delta_posterior_peaks_at_truth(self, cfg):
         tm, con = cfg.tone_map(), cfg.constellation()
         chan = unit_taps_channel(phase_a=0.2, phase_b=1.9)
         rng = np.random.default_rng(23)
@@ -399,13 +414,10 @@ class TestPhaseObjective:
         joint = (ia * q + ib).reshape(cfg.m_symbols, -1)
         data = tm.data_tones
         m = 1
-        post = np.zeros((len(data), q * q))
-        post[np.arange(len(data)), joint[m]] = 1.0
-        obj = PhaseObjective(
-            freq[m, data], chan.h_freq[:, data], post, con
-        )
+        post = np.zeros((1, len(data), q * q))
+        post[0, np.arange(len(data)), joint[m]] = 1.0
+        obj = PhaseObjective(freq[m : m + 1][:, data], chan.h_freq[:, data], post, con)
         at_truth = obj.value(theta[m, 0], theta[m, 1])
-        assert abs(at_truth) < 1e-9
         rng2 = np.random.default_rng(24)
         others = rng2.uniform(0, 2 * np.pi, (50, 2))
         assert np.all(obj.value(others[:, 0], others[:, 1]) <= at_truth + 1e-12)
@@ -416,17 +428,19 @@ class TestPhaseObjective:
         uniform posterior makes the objective depend only on sums."""
         con, r, h_a, h_b, _ = self._random_setup(cfg, 25)
         q2 = con.size**2
-        uniform = np.full((len(r), q2), 1.0 / q2)
+        uniform = np.full((*r.shape, q2), 1.0 / q2)
         obj = PhaseObjective(r, (h_a, h_b), uniform, con)
         rng = np.random.default_rng(26)
         perm = rng.permutation(q2)
-        obj_perm = PhaseObjective(r, (h_a, h_b), uniform[:, perm], con)
+        obj_perm = PhaseObjective(r, (h_a, h_b), uniform[..., perm], con)
         th = rng.uniform(0, 2 * np.pi, 2)
         assert abs(obj.value(th[0], th[1]) - obj_perm.value(th[0], th[1])) < 1e-10
 
     def test_per_symbol_sum_equals_frame_sum(self, cfg):
-        """Summing the per-symbol objectives equals the whole-frame double
-        sum evaluated symbol by symbol (decoupling consistency)."""
+        """Summing the per-symbol objectives, one one-row batch each, equals
+        the whole-frame double sum evaluated symbol by symbol up to the sum of
+        the symbols' constants, at every sampled frame of phase pairs
+        (decoupling consistency)."""
         rng = np.random.default_rng(27)
         tm, con = cfg.tone_map(), cfg.constellation()
         data = tm.data_tones
@@ -436,29 +450,30 @@ class TestPhaseObjective:
         )
         post = rng.random((cfg.m_symbols, len(data), con.size**2))
         post /= post.sum(axis=2, keepdims=True)
-        theta = rng.uniform(0, 2 * np.pi, (cfg.m_symbols, 2))
-        per_symbol = 0.0
-        for m in range(cfg.m_symbols):
-            obj = PhaseObjective(
-                r[m, data], chan.h_freq[:, data], post[m], con
-            )
-            per_symbol += obj.value(theta[m, 0], theta[m, 1])
-        frame_total = sum(
-            oracle_objective(
-                theta[m], r[m, data], chan.h_freq[0][data], chan.h_freq[1][data],
-                post[m], con.points,
-            )
+        objs = [
+            PhaseObjective(r[m : m + 1, data], chan.h_freq[:, data], post[m : m + 1], con)
             for m in range(cfg.m_symbols)
-        )
-        assert abs(per_symbol - frame_total) < 1e-10
+        ]
+        per_symbol, frame_total = [], []
+        for _ in range(3):
+            theta = rng.uniform(0, 2 * np.pi, (cfg.m_symbols, 2))
+            per_symbol.append(sum(o.value(*t)[0] for o, t in zip(objs, theta)))
+            frame_total.append(sum(
+                oracle_objective(
+                    theta[m], r[m, data], chan.h_freq[0][data], chan.h_freq[1][data],
+                    post[m], con.points,
+                )
+                for m in range(cfg.m_symbols)
+            ))
+        assert_equal_up_to_constant(per_symbol, frame_total, 1e-10)
 
 
 def _noiseless_objective(peak, con, seed, n_tones=48):
-    """Objective with a known maximum: noiseless tones sent at the phase
-    pairs ``peak``, (2,) for one symbol or (M, 2) for M, through random
-    channels, with all posterior mass on the sent symbol pairs.  Its value
-    is -sum |r - e^{j theta_a} X_a H_a - e^{j theta_b} X_b H_b|^2 <= 0,
-    which is 0 only at ``peak`` once the symbols' ratio X_a/X_b varies."""
+    """Objective with a known maximum: noiseless tones sent at the (M, 2)
+    phase pairs ``peak`` through random channels, with all posterior mass
+    on the sent symbol pairs.  Up to each symbol's constant its value is
+    -sum |r - e^{j theta_a} X_a H_a - e^{j theta_b} X_b H_b|^2, so the peak
+    is the maximum, and the only one once the symbols' ratio X_a/X_b varies."""
     rng = np.random.default_rng(seed)
     peak = np.asarray(peak, dtype=float)
     q = con.size
@@ -475,57 +490,55 @@ def _noiseless_objective(peak, con, seed, n_tones=48):
 
 class TestParticleMStep:
     def test_peak_on_grid_returned_exactly(self):
-        peak = np.array([2 * np.pi * 3 / 10, 2 * np.pi * 7 / 10])
+        peak = np.array([[2 * np.pi * 3 / 10, 2 * np.pi * 7 / 10]])
         obj = _noiseless_objective(peak, make_constellation(QPSK), seed=30)
-        got = particle_m_step(obj, np.zeros(2), ReceiverConfig(sigma_w2=1e-3))
+        got = particle_m_step(obj, np.zeros((1, 2)), ReceiverConfig(sigma_w2=1e-3))
         np.testing.assert_allclose(got, peak, atol=1e-12)
 
     def test_p_zero_equals_grid_argmax(self):
         rx_cfg = ReceiverConfig(sigma_w2=0.3, particle_rounds=0)
         rng = np.random.default_rng(31)
         for seed in range(20):
-            peak = rng.uniform(0, 2 * np.pi, 2)
+            peak = rng.uniform(0, 2 * np.pi, (1, 2))
             obj = _noiseless_objective(peak, make_constellation(QPSK), seed, rng.integers(4, 49))
-            got = particle_m_step(obj, np.zeros(2), rx_cfg)
+            got = particle_m_step(obj, np.zeros((1, 2)), rx_cfg)
             base = 2 * np.pi * np.arange(10) / 10
             ta, tb = np.meshgrid(base, base, indexing="ij")
             lattice = np.stack([ta.reshape(-1), tb.reshape(-1)], axis=1)
             vals = obj.value(lattice[:, 0], lattice[:, 1])
-            np.testing.assert_allclose(got, lattice[np.argmax(vals)], atol=0)
+            np.testing.assert_allclose(got[0], lattice[np.argmax(vals)], atol=0)
 
     def test_improvement_over_coarse_grid(self):
         """The returned point never scores below the initial lattice argmax."""
         rng = np.random.default_rng(32)
         for seed in range(20):
-            peak = rng.uniform(0, 2 * np.pi, 2)
+            peak = rng.uniform(0, 2 * np.pi, (1, 2))
             obj = _noiseless_objective(peak, make_constellation(QPSK), seed, rng.integers(4, 49))
             rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
-            got = particle_m_step(obj, np.zeros(2), rx_cfg)
+            got = particle_m_step(obj, np.zeros((1, 2)), rx_cfg)
             base = 2 * np.pi * np.arange(10) / 10
             ta, tb = np.meshgrid(base, base, indexing="ij")
             lattice = np.stack([ta.reshape(-1), tb.reshape(-1)], axis=1)
             best0 = np.max(obj.value(lattice[:, 0], lattice[:, 1]))
-            assert obj.value(got[0], got[1]) >= best0 - 1e-9
+            assert obj.value(got[0, 0], got[0, 1]) >= best0 - 1e-9
 
     @pytest.mark.parametrize("mod", [BPSK, QPSK])
     @pytest.mark.parametrize("m", [1, 12])
     def test_lattice_values_match_objective(self, monkeypatch, mod, m):
         """At every lattice point of every round of the full-plane stage and
         two refine windows, the one-matmul lattice values equal
-        ``PhaseObjective.value`` at that particle to 1e-10.  M = 1 is one
-        symbol's (N_d,) row with scalar statistics."""
+        ``PhaseObjective.value`` at that particle to 1e-10.  M = 1 is a
+        one-row batch."""
         cfg = default_config(mod, 4, 0)
         rng = np.random.default_rng(38)
         r, (h_a, h_b), post, con = self._random_objectives(cfg, rng, m)
         theta = rng.uniform(0, 2 * np.pi, (m, 2))
-        if m == 1:
-            r, post, theta = r[0], post[0], theta[0]
         obj = PhaseObjective(r, (h_a, h_b), post, con)
         kernel = receiver_mod._lattice_values
         errors = []
 
-        def checked(stats, c0, centre, lattice):
-            vals = kernel(stats, c0, centre, lattice)
+        def checked(stats, centre, lattice):
+            vals = kernel(stats, centre, lattice)
             particles = centre[:, None, :] + lattice[0]  # (M, L^2, 2)
             expect = obj.value(particles[..., 0].T, particles[..., 1].T).T
             errors.append(np.max(np.abs(vals - expect)))
@@ -583,11 +596,11 @@ class TestParticleMStep:
 
         The rotated objective is built from the channels h_a e^{-j phi_a} and
         h_b e^{-j phi_b}, which rotate s_a, s_b and s_ab by e^{-j phi_a},
-        e^{-j phi_b} and e^{-j (phi_a - phi_b)} and leave c0 as it is.  Its
-        value(theta) equals value(theta - phi), so a search that does not
-        favour any absolute phase must follow the rotation exactly.  A
-        lattice pinned at absolute phase 0 breaks this and always offers the
-        zero-drift truth as a candidate.
+        e^{-j phi_b} and e^{-j (phi_a - phi_b)}.  Its value(theta) equals
+        value(theta - phi), so a search that does not favour any absolute
+        phase must follow the rotation exactly.  A lattice pinned at absolute
+        phase 0 breaks this and always offers the zero-drift truth as a
+        candidate.
         """
         con = cfg.constellation()
         n = len(cfg.tone_map().data_tones)
@@ -596,14 +609,15 @@ class TestParticleMStep:
             r, h_a, h_b = (
                 rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)
             )
-            post = rng.random((n, con.size**2))
-            post /= post.sum(axis=1, keepdims=True)
+            r = r[None]  # one symbol
+            post = rng.random((1, n, con.size**2))
+            post /= post.sum(axis=2, keepdims=True)
             obj = PhaseObjective(r, (h_a, h_b), post, con)
             phi = rng.uniform(0, 2 * np.pi, 2)
             rot = PhaseObjective(
                 r, (h_a * np.exp(-1j * phi[0]), h_b * np.exp(-1j * phi[1])), post, con
             )
-            prev = rng.uniform(0, 2 * np.pi, 2)
+            prev = rng.uniform(0, 2 * np.pi, (1, 2))
             rx_cfg = ReceiverConfig(sigma_w2=rng.uniform(0.01, 1.0))
             got = particle_m_step(obj, prev, rx_cfg)
             got_rot = particle_m_step(rot, prev + phi, rx_cfg)
@@ -628,7 +642,7 @@ class TestParticleMStep:
 
         For fixed theta_b the best theta_a is -angle(s_a - e^{-j theta_b} s_ab),
         which leaves the 1-D profile
-        f(theta_b) = -c0 + 2 Re(e^{j theta_b} s_b) + 2 |s_a - e^{-j theta_b} s_ab|.
+        f(theta_b) = 2 Re(e^{j theta_b} s_b) + 2 |s_a - e^{-j theta_b} s_ab|.
         Its maximum comes from a dense grid whose every local maximum is
         refined by three nested sub-grids, to far below the 1e-9 tolerance.
         200 objectives run as four batched searches of 50 symbols each.
@@ -642,11 +656,11 @@ class TestParticleMStep:
             got = particle_m_step(obj, prev, ReceiverConfig(sigma_w2=sigma_w2))
             got_vals = obj.value(got[:, 0], got[:, 1])
             for i in range(50):
-                c0, s_a, s_b, s_ab = obj.c0[i], obj.s_a[i], obj.s_b[i], obj.s_ab[i]
+                s_a, s_b, s_ab = obj.stats[i]
 
                 def profile(tb):
                     rb = np.exp(1j * tb)
-                    return -c0 + 2 * np.real(rb * s_b) + 2 * np.abs(s_a - np.conj(rb) * s_ab)
+                    return 2 * np.real(rb * s_b) + 2 * np.abs(s_a - np.conj(rb) * s_ab)
 
                 vals = profile(grid)
                 peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
@@ -684,8 +698,8 @@ class TestParticleMStep:
 
     def test_batched_equals_per_row_calls(self, cfg):
         """One M-step over a stacked objective (the full-plane stage and a
-        refine stage, each with its keep rule) equals one single-symbol call
-        per row.  A row whose posterior is all NaN, and so are its
+        refine stage, each with its keep rule) equals one call per row, each
+        on a one-row batch.  A row whose posterior is all NaN, and so are its
         statistics, keeps its previous phases and leaves every other row
         bit-identical."""
         rng = np.random.default_rng(36)
@@ -696,14 +710,13 @@ class TestParticleMStep:
         clean = m_step(PhaseObjective(r, (h_a, h_b), post, con), theta, rx_cfg)
         post[nan_row] = np.nan
         batched = PhaseObjective(r, (h_a, h_b), post, con)
-        rows = [PhaseObjective(r[i], (h_a, h_b), post[i], con) for i in range(m)]
-        for name in ("c0", "s_a", "s_b", "s_ab"):
-            assert np.all(np.isnan(getattr(batched, name)[nan_row])), name
-            np.testing.assert_allclose(
-                getattr(batched, name), [getattr(o, name) for o in rows], rtol=1e-13
-            )
+        rows = [PhaseObjective(r[i : i + 1], (h_a, h_b), post[i : i + 1], con) for i in range(m)]
+        assert np.all(np.isnan(batched.stats[nan_row]))
+        np.testing.assert_allclose(
+            batched.stats, np.concatenate([o.stats for o in rows]), rtol=1e-13
+        )
         got = m_step(batched, theta, rx_cfg)
-        expect = np.stack([m_step(rows[i], theta[i], rx_cfg) for i in range(m)])
+        expect = np.concatenate([m_step(rows[i], theta[i : i + 1], rx_cfg) for i in range(m)])
         assert np.max(np.abs(np.angle(np.exp(1j * (got - expect))))) < 1e-12
         np.testing.assert_array_equal(got[nan_row], theta[nan_row])
         others = np.arange(m) != nan_row
@@ -737,14 +750,12 @@ class TestParticleMStep:
             r = np.exp(1j * truth[0]) * sym_a + np.exp(1j * truth[1]) * sym_b + noise
             ia = np.argmin(np.abs(sym_a[:, None] - con.points[None, :]), axis=1)
             ib = np.argmin(np.abs(sym_b[:, None] - con.points[None, :]), axis=1)
-            post = np.zeros((len(data), con.size**2))
-            post[np.arange(len(data)), ia * con.size + ib] = 1.0
-            obj = PhaseObjective(
-                r, np.ones((2, len(data)), complex), post, con
-            )
-            coarse = particle_m_step(obj, np.zeros(2), rx_cfg)
+            post = np.zeros((1, len(data), con.size**2))
+            post[0, np.arange(len(data)), ia * con.size + ib] = 1.0
+            obj = PhaseObjective(r[None], np.ones((2, len(data)), complex), post, con)
+            coarse = particle_m_step(obj, np.zeros((1, 2)), rx_cfg)
             fine = particle_m_step(obj, coarse, rx_cfg, span=2 * cell)
-            if obj.value(fine[0], fine[1]) < obj.value(coarse[0], coarse[1]):
+            if obj.value(*fine[0]) < obj.value(*coarse[0]):
                 fine = coarse
             err_c = np.max(np.abs(np.angle(np.exp(1j * (coarse - truth)))))
             err_f = np.max(np.abs(np.angle(np.exp(1j * (fine - truth)))))
@@ -752,6 +763,42 @@ class TestParticleMStep:
             ok_fine += err_f < 0.1
         assert ok_coarse >= 0.90 * trials
         assert ok_fine >= 0.90 * trials
+
+
+class TestShiftInvariance:
+    """The phase objective counts up to a constant per symbol: adding any
+    finite one to each symbol's values, in the lattice search and in the keep
+    rule alike, leaves every M-step result where it was."""
+
+    @pytest.mark.parametrize("passes", [0, 2])
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    def test_symbol_shift_keeps_m_step(self, monkeypatch, mod, passes):
+        rng = np.random.default_rng(42)
+        m = 20
+        cfg = default_config(mod, 4, 0)
+        obj = PhaseObjective(*TestParticleMStep._random_objectives(cfg, rng, m))
+        shift = rng.uniform(-50.0, 50.0, m)
+        kernel, value = receiver_mod._lattice_values, PhaseObjective.value
+        calls = []
+
+        def shifted_kernel(stats, centre, lattice):
+            calls.append("lattice")
+            return kernel(stats, centre, lattice) + shift[:, None]
+
+        def shifted_value(self, theta_a, theta_b):
+            calls.append("value")
+            return value(self, theta_a, theta_b) + shift
+
+        for sigma_w2 in (0.01, 0.1, 1.0):
+            theta = rng.uniform(0, 2 * np.pi, (m, 2))
+            rx_cfg = ReceiverConfig(sigma_w2=sigma_w2, em_refine_passes=passes)
+            expect = m_step(obj, theta, rx_cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(receiver_mod, "_lattice_values", shifted_kernel)
+                patch.setattr(PhaseObjective, "value", shifted_value)
+                got = m_step(obj, theta, rx_cfg)
+            assert np.max(np.abs(np.angle(np.exp(1j * (got - expect))))) < 1e-12
+        assert {"lattice", "value"} <= set(calls)
 
 
 _LLR_DRAW = st.one_of(st.just(0.0), st.floats(1e-3, 90.0), st.floats(-90.0, -1e-3))
