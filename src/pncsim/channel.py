@@ -75,11 +75,6 @@ def exp_power_profile(n_taps: int, decay: float) -> np.ndarray:
     return p / p.sum()
 
 
-def _draw_taps(rng: np.random.Generator, profile: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(profile / 2.0)
-    return scale * (rng.standard_normal(len(profile)) + 1j * rng.standard_normal(len(profile)))
-
-
 def sample_flat(rng: np.random.Generator, tau: int = 0, cfo=(0.0, 0.0)) -> ChannelRealization:
     """Flat Rayleigh fading: one unit-mean-power tap per node."""
     return sample_selective(1, 0.0, rng, tau, cfo)
@@ -92,14 +87,14 @@ def sample_selective(
     tau: int = 0,
     cfo=(0.0, 0.0),
 ) -> ChannelRealization:
-    """Tapped-delay-line Rayleigh fading with exponential power decay; node
-    A's taps are drawn first, then node B's."""
+    """Tapped-delay-line Rayleigh fading with exponential power decay; one
+    draw, laid out [node][re, im], gives node A's real then imaginary parts, then B's."""
     if n_taps < 1:
         raise ValueError("need at least one tap")
     if decay < 0:
         raise ValueError("decay factor must be nonnegative")
-    profile = exp_power_profile(n_taps, decay)
-    taps = [_draw_taps(rng, profile) for _ in range(2)]
+    draw = rng.standard_normal((2, 2, n_taps))
+    taps = np.sqrt(exp_power_profile(n_taps, decay) / 2.0) * (draw[:, 0] + 1j * draw[:, 1])
     return ChannelRealization(taps=taps, relative_delay=tau, cfo=cfo)
 
 
@@ -120,8 +115,8 @@ def simulate_uplink(
     irrelevant to demodulation).
     """
     n_total = config.m_symbols * config.n_s
-    if len(frames) != 2 or any(len(frame) != n_total for frame in frames):
-        raise ValueError("frames must be two streams of m_symbols * n_s samples")
+    if np.shape(frames) != (2, n_total):
+        raise ValueError("frames must be a (2, m_symbols * n_s) array of sample streams")
     if sigma_n2 < 0:
         raise ValueError("noise variance must be nonnegative")
     if chan.relative_delay > max_delay(chan.taps.shape[1]):

@@ -56,13 +56,14 @@ class RaCode:
 
 
 def ra_encode(info_bits: np.ndarray, ra_code: RaCode) -> np.ndarray:
-    """Encode: repeat, interleave, then accumulate (c_t = c_{t-1} xor d_t)."""
+    """Encode each row of (..., k_info) bits along the last axis: repeat,
+    interleave, then accumulate (c_t = c_{t-1} xor d_t)."""
     info_bits = np.asarray(info_bits, dtype=np.int64)
-    if info_bits.shape != (ra_code.k_info,):
+    if info_bits.shape[-1:] != (ra_code.k_info,):
         raise ValueError(f"expected {ra_code.k_info} info bits, got {info_bits.shape}")
-    repeated = np.repeat(info_bits, ra_code.repeat)
-    mixed = repeated[ra_code.interleaver]
-    return np.bitwise_xor.accumulate(mixed)
+    repeated = np.repeat(info_bits, ra_code.repeat, axis=-1)
+    mixed = repeated[..., ra_code.interleaver]
+    return np.bitwise_xor.accumulate(mixed, axis=-1)
 
 
 @dataclass(eq=False)

@@ -151,46 +151,42 @@ def default_config(modulation: str, m_symbols: int, em_iters: int = 0) -> FrameC
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Map a bit vector onto constellation symbols (MSB-first bit groups)."""
+    """Map (..., n) bits onto (..., n / b) symbols, b bits per symbol, MSB first."""
     bits = np.asarray(bits, dtype=np.int64)
     b = constellation.bits_per_symbol
-    if bits.size % b:
-        raise ValueError(f"bit count {bits.size} not divisible by {b}")
-    groups = bits.reshape(-1, b)
+    if bits.shape[-1] % b:
+        raise ValueError(f"bit count {bits.shape[-1]} not divisible by {b}")
+    groups = bits.reshape(*bits.shape[:-1], -1, b)
     weights = 1 << np.arange(b - 1, -1, -1)
     return constellation.points[groups @ weights]
 
 
-def build_payload_grid(data_symbols: np.ndarray, tone_map: ToneMap, node: int) -> np.ndarray:
-    """Place node ``node``'s (0 = A, 1 = B) data symbols and its +1 pilots
-    onto the (M, N) tone grid."""
-    if node not in (0, 1):
-        raise ValueError(f"node must be 0 (A) or 1 (B), got {node!r}")
-    data_symbols = np.asarray(data_symbols).reshape(-1, tone_map.n_data)
-    grid = np.zeros((len(data_symbols), FrameConfig.n_fft), dtype=complex)
-    grid[:, tone_map.data_tones] = data_symbols
-    grid[:, tone_map.pilot_tones[node]] = 1.0
+def build_payload_grid(data_symbols: np.ndarray, tone_map: ToneMap) -> np.ndarray:
+    """Place both nodes' (2, n) data symbols, row 0 = node A, and each
+    node's +1 pilots onto the (2, M, N) tone grid."""
+    data_symbols = np.asarray(data_symbols).reshape(2, -1, tone_map.n_data)
+    grid = np.zeros((*data_symbols.shape[:2], FrameConfig.n_fft), dtype=complex)
+    grid[..., tone_map.data_tones] = data_symbols
+    for node, tones in enumerate(tone_map.pilot_tones):  # the sets may differ in size
+        grid[node, :, tones] = 1.0
     return grid
 
 
 def ofdm_modulate(grid: np.ndarray, n_cp: int) -> np.ndarray:
-    """Unitary IDFT per OFDM symbol plus cyclic prefix, flattened to samples."""
-    x = np.fft.ifft(grid, norm="ortho", axis=1)
-    with_cp = np.concatenate([x[:, -n_cp:], x], axis=1)
-    return with_cp.reshape(-1)
+    """Unitary IDFT per OFDM symbol plus cyclic prefix: (..., M, N) -> (..., M * n_s) samples."""
+    x = np.fft.ifft(grid, norm="ortho", axis=-1)
+    with_cp = np.concatenate([x[..., -n_cp:], x], axis=-1)
+    return with_cp.reshape(*grid.shape[:-2], -1)
 
 
 def transmit_frame(
-    coded_bits: np.ndarray,
-    config: FrameConfig,
-    tone_map: ToneMap,
-    constellation: Constellation,
-    node: int,
+    coded_bits: np.ndarray, config: FrameConfig, tone_map: ToneMap, constellation: Constellation
 ) -> np.ndarray:
-    """Node ``node``'s (0 = A, 1 = B) coded bits -> constellation symbols ->
-    pilot-bearing OFDM samples."""
-    if coded_bits.size != config.n_coded_bits:
-        raise ValueError("coded bit count does not fill the frame's data tones")
+    """Both nodes' (2, n_coded_bits) coded bits, row 0 = node A ->
+    constellation symbols -> the (2, m_symbols * n_s) pilot-bearing OFDM
+    sample streams."""
+    if np.shape(coded_bits) != (2, config.n_coded_bits):
+        raise ValueError("coded bits must be a (2, n_coded_bits) pair filling the data tones")
     symbols = map_bits(coded_bits, constellation)
-    grid = build_payload_grid(symbols, tone_map, node)
+    grid = build_payload_grid(symbols, tone_map)
     return ofdm_modulate(grid, config.n_cp)

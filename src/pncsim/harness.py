@@ -16,6 +16,7 @@ import os
 import time
 import types
 import typing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -258,13 +259,9 @@ def run_single_trial(ctx: _TrialContext, snr_idx: int, trial_idx: int) -> TrialM
         cfo = rng.uniform(-cfg.delta / 2, cfg.delta / 2, size=2)
     chan = chan_mod.sample_selective(cfg.taps, cfg.decay, rng, tau, cfo)
 
-    info, frames = [], []
-    for node in range(2):  # node A's bits are drawn first
-        info.append(rng.integers(0, 2, fc.k_info))
-        coded = ra_encode(info[node], ctx.decoder.ra)
-        frames.append(
-            frame_mod.transmit_frame(coded, fc, ctx.tone_map, ctx.decoder.constellation, node)
-        )
+    info = rng.integers(0, 2, (2, fc.k_info))  # node A's row is drawn first
+    coded = ra_encode(info, ctx.decoder.ra)
+    frames = frame_mod.transmit_frame(coded, fc, ctx.tone_map, ctx.decoder.constellation)
     samples = chan_mod.simulate_uplink(frames, chan, ctx.sigma_n2[snr_idx], rng, fc)
     freq = rx_mod.demodulate(samples, fc)
     out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, ctx.rx_cfgs[snr_idx])
@@ -287,6 +284,12 @@ def _init_worker(ctx: _TrialContext, next_trial=None):
     _WORKER_NEXT = next_trial
 
 
+def _end_trials(next_trial, stop) -> None:
+    """Set the shared counter to stop, so no process starts another trial."""
+    with next_trial.get_lock():
+        next_trial.value = stop
+
+
 def _take_trials(ctx, next_trial, snr_idx, stop) -> list[tuple[int, TrialMetrics]]:
     """Run the trials whose index this process takes from next_trial until
     it reaches stop.  A trial that raises sets the counter to stop, so no
@@ -301,8 +304,7 @@ def _take_trials(ctx, next_trial, snr_idx, stop) -> list[tuple[int, TrialMetrics
         try:
             done.append((trial_idx, run_single_trial(ctx, snr_idx, trial_idx)))
         except BaseException:
-            with next_trial.get_lock():
-                next_trial.value = stop
+            _end_trials(next_trial, stop)
             raise
 
 
@@ -320,9 +322,11 @@ def trial_runner(cfg: ExperimentConfig):
     """Yield ``(ctx, run)``: ``run(snr_idx, start, stop)`` returns the
     TrialMetrics of trials [start, stop) of one SNR point, in trial order.
     The calling process and min(jobs, trials_per_snr, usable CPUs) - 1 pool
-    workers, one task each per call and stopped when the with block ends,
-    on an error or interrupt too, take the trial indices from one shared
-    counter, so the list is the same for any jobs."""
+    workers, one task each per call, take the trial indices from one shared
+    counter, so the list is the same for any jobs.  A failed trial, or a
+    dead worker (BrokenProcessPool), stops every process from starting
+    another; the pool stops at the end of the with block, after each
+    worker's trial in progress, on an error or interrupt too."""
     ctx = _make_context(cfg)
     next_trial = multiprocessing.Value("q", 0)
     pool = None
@@ -330,24 +334,26 @@ def trial_runner(cfg: ExperimentConfig):
     # process may run on (its affinity set) would only queue for them
     workers = min(cfg.jobs, cfg.trials_per_snr, len(os.sched_getaffinity(0))) - 1
     if workers > 0:
-        pool = multiprocessing.Pool(workers, initializer=_init_worker, initargs=(ctx, next_trial))
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(ctx, next_trial))
 
     def run(snr_idx: int, start: int, stop: int) -> list[TrialMetrics]:
+        def end_on_failure(part):  # results skip it: it may run after the next call starts
+            if not part.cancelled() and part.exception() is not None:
+                _end_trials(next_trial, stop)
+
         next_trial.value = start
-        if pool is not None:
-            pending = pool.starmap_async(_worker_trials, [(snr_idx, stop)] * workers)
+        parts = [pool.submit(_worker_trials, snr_idx, stop) for _ in range(workers)]
+        for part in parts:
+            part.add_done_callback(end_on_failure)
         done = _take_trials(ctx, next_trial, snr_idx, stop)
-        if pool is not None:
-            done += [d for part in pending.get() for d in part]
+        done += [d for part in parts for d in part.result()]
         return [m for _, m in sorted(done, key=lambda d: d[0])]
 
     try:
         yield ctx, run
     finally:
-        # every task has returned on the normal path; after an error or an
-        # interrupt a task may never return, and only terminate ends its pool
         if pool is not None:
-            pool.terminate()
+            pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

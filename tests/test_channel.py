@@ -23,12 +23,11 @@ def cfg():
 
 
 def make_frames(cfg, seed=0):
+    """Both nodes' (2, n) sample streams, row 0 = node A."""
     rng = np.random.default_rng(seed)
-    tm, con = cfg.tone_map(), cfg.constellation()
     ra = RaCode.build(cfg.k_info, 1)
-    fa = transmit_frame(ra_encode(rng.integers(0, 2, cfg.k_info), ra), cfg, tm, con, 0)
-    fb = transmit_frame(ra_encode(rng.integers(0, 2, cfg.k_info), ra), cfg, tm, con, 1)
-    return fa, fb
+    coded = ra_encode(rng.integers(0, 2, (2, cfg.k_info)), ra)
+    return transmit_frame(coded, cfg, cfg.tone_map(), cfg.constellation())
 
 
 class TestSamplers:
@@ -64,6 +63,14 @@ class TestSamplers:
             np.testing.assert_array_equal(getattr(flat, name), getattr(one_tap, name))
         assert flat.relative_delay == one_tap.relative_delay == 2
         np.testing.assert_array_equal(flat.cfo, [0.01, -0.03])
+
+    def test_draw_order_is_node_then_re_then_im(self):
+        """Node A's real parts come off the stream first, then its imaginary
+        parts, then node B's, so the trial RNG streams stay pinned."""
+        chan = sample_selective(3, 0.5, np.random.default_rng(46))
+        z = np.random.default_rng(46).standard_normal(12).reshape(2, 2, 3)
+        scale = np.sqrt(exp_power_profile(3, 0.5) / 2.0)
+        np.testing.assert_array_equal(chan.taps, scale * (z[:, 0] + 1j * z[:, 1]))
 
     def test_selective_profile_c1(self):
         rng = np.random.default_rng(2)
@@ -108,9 +115,9 @@ class TestChannelRealization:
 
 class TestSimulateUplink:
     def test_rejects_frames_that_are_not_a_pair(self, cfg):
-        fa, fb = make_frames(cfg)
+        pair = make_frames(cfg)
         chan = sample_flat(np.random.default_rng(0))
-        for frames in ((fa,), (fa, fb, fb), (fa, fb[:-1])):
+        for frames in (pair[:1], pair[[0, 1, 1]], pair[:, :-1], pair[0]):
             with pytest.raises(ValueError, match="frames must be"):
                 simulate_uplink(frames, chan, 0.0, np.random.default_rng(0), cfg)
 

@@ -67,6 +67,7 @@ class TestRaEncode:
         assert ra_encode(np.array([1, 0, 1, 1]), ra).shape == (12,)
 
     def test_matches_step_by_step_oracle(self):
+        """Also row by row: (..., k) bits encode along the last axis."""
         rng = np.random.default_rng(11)
         for seed in range(5):
             ra = RaCode.build(8, seed=seed)
@@ -74,6 +75,11 @@ class TestRaEncode:
             np.testing.assert_array_equal(
                 ra_encode(info, ra), oracle_encode(info, ra.interleaver)
             )
+        rows = rng.integers(0, 2, (2, 3, 8))
+        coded = ra_encode(rows, ra)
+        assert coded.shape == (2, 3, 24)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(coded[idx], oracle_encode(rows[idx], ra.interleaver))
 
     def test_rejects_wrong_length(self):
         ra = RaCode.build(8, seed=0)
@@ -435,10 +441,7 @@ def flat_frame_evidence(mod, ebn0_db, seed):
     con, tm = cfg.constellation(), cfg.tone_map()
     ra = RaCode.build(cfg.k_info, seed=8)
     rng = np.random.default_rng(seed)
-    frames = [
-        transmit_frame(ra_encode(rng.integers(0, 2, cfg.k_info), ra), cfg, tm, con, node)
-        for node in range(2)
-    ]
+    frames = transmit_frame(ra_encode(rng.integers(0, 2, (2, cfg.k_info)), ra), cfg, tm, con)
     chan = sample_flat(rng, tau=3, cfo=(0.02, -0.03))
     sigma_n2 = noise_var(ebn0_db, 1 / cfg.code_rate_inv, con.bits_per_symbol)
     r = demodulate(simulate_uplink(frames, chan, sigma_n2, rng, cfg), cfg)

@@ -15,6 +15,8 @@ from pncsim.frame import (
     make_constellation,
     map_bits,
     build_payload_grid,
+    ofdm_modulate,
+    transmit_frame,
 )
 
 
@@ -89,13 +91,11 @@ class TestToneMap:
         for k in list(range(27, 32)) + [-32] + list(range(-31, -26)):
             assert k % 64 in zeros
 
-    def test_rejects_shared_or_out_of_range_bins_and_unknown_node(self):
+    def test_rejects_shared_or_out_of_range_bins(self):
         """The three sets must be distinct bins in [0, 64): a data tone reused
         as a pilot, a pilot shared by both nodes and bins 64 and -1 are
-        refused; and only nodes 0 (A) and 1 (B) send a payload grid."""
+        refused."""
         tm = default_tone_map()
-        with pytest.raises(ValueError, match="node must be"):
-            build_payload_grid(np.ones(tm.n_data), tm, 2)
         data, (pa, pb) = tm.data_tones, tm.pilot_tones
         for pilots in (
             (np.append(pa, data[0]), pb),  # data/pilot overlap
@@ -147,6 +147,9 @@ class TestConstellation:
         bits = rng.integers(0, 2, 1000 if mod == BPSK else 1000)
         con = make_constellation(mod)
         np.testing.assert_array_equal(demap_bits(map_bits(bits, con), con), bits)
+        # leading axes are kept: each row maps on its own
+        rows = map_bits(bits.reshape(2, 5, -1), con)
+        np.testing.assert_array_equal(rows, map_bits(bits, con).reshape(2, 5, -1))
 
     def test_rejects_odd_bit_count_qpsk(self):
         con = make_constellation(QPSK)
@@ -166,18 +169,47 @@ class TestPayloadGrid:
         cfg = default_config(QPSK, 2, 0)
         tm, con = cfg.tone_map(), cfg.constellation()
         rng = np.random.default_rng(0)
-        syms = map_bits(rng.integers(0, 2, cfg.n_coded_bits), con)
-        grid_a = build_payload_grid(syms, tm, 0)
-        grid_b = build_payload_grid(syms, tm, 1)
+        syms = map_bits(rng.integers(0, 2, (2, cfg.n_coded_bits)), con)
+        grid_a, grid_b = build_payload_grid(syms, tm)
         np.testing.assert_allclose(grid_a[:, tm.pilot_tones[0]], 1.0)
         np.testing.assert_allclose(grid_a[:, tm.pilot_tones[1]], 0.0)  # nulls the other node's
         np.testing.assert_allclose(grid_b[:, tm.pilot_tones[1]], 1.0)
         np.testing.assert_allclose(grid_b[:, tm.pilot_tones[0]], 0.0)
         np.testing.assert_allclose(grid_a[:, null_tones(tm)], 0.0)
+        np.testing.assert_allclose(grid_b[:, null_tones(tm)], 0.0)
+        # a custom split may give one node more pilot tones than the other
+        split = ToneMap(tm.data_tones, (tm.pilot_tones[0][:1], np.append(tm.pilot_tones[1], 30)))
+        grid = build_payload_grid(np.zeros((2, 3 * split.n_data)), split)
+        for node, tones in enumerate(split.pilot_tones):
+            assert set(np.flatnonzero(grid[node, 0]).tolist()) == set(tones.tolist())
 
     def test_data_symbols_in_order(self):
         cfg = default_config(BPSK, 1, 0)
         tm, con = cfg.tone_map(), cfg.constellation()
         syms = map_bits(np.arange(48) % 2, con)
-        grid = build_payload_grid(syms, tm, 0)
-        np.testing.assert_allclose(grid[0, tm.data_tones], syms)
+        grid = build_payload_grid(np.stack([syms, -syms]), tm)
+        assert grid.shape == (2, 1, 64)
+        np.testing.assert_allclose(grid[0, 0, tm.data_tones], syms)
+        np.testing.assert_allclose(grid[1, 0, tm.data_tones], -syms)
+
+
+class TestTransmitFrame:
+    def test_rows_are_the_nodes_streams(self):
+        """Row u of the pair output is the IDFT-plus-CP of node u's grid row;
+        anything but a (2, n_coded_bits) pair of coded bits is refused."""
+        cfg = default_config(QPSK, 3, 0)
+        tm, con = cfg.tone_map(), cfg.constellation()
+        coded = np.random.default_rng(7).integers(0, 2, (2, cfg.n_coded_bits))
+        frames = transmit_frame(coded, cfg, tm, con)
+        assert frames.shape == (2, cfg.m_symbols * cfg.n_s)
+        grid = build_payload_grid(map_bits(coded, con), tm)
+        for node in range(2):
+            np.testing.assert_array_equal(frames[node], ofdm_modulate(grid[node], cfg.n_cp))
+            windows = frames[node].reshape(cfg.m_symbols, cfg.n_s)
+            np.testing.assert_array_equal(windows[:, : cfg.n_cp], windows[:, -cfg.n_cp :])
+            np.testing.assert_allclose(
+                np.fft.fft(windows[:, cfg.n_cp :], norm="ortho", axis=1), grid[node], atol=1e-12
+            )
+        for shape in ((cfg.n_coded_bits,), (1, cfg.n_coded_bits), (2, cfg.n_coded_bits - 1)):
+            with pytest.raises(ValueError, match=r"\(2, n_coded_bits\) pair"):
+                transmit_frame(np.zeros(shape, dtype=int), cfg, tm, con)

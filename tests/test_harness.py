@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from multiprocessing.pool import ThreadPool
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -279,19 +279,26 @@ class TestRunExperiment:
             log["events"].append(("trial", snr_idx, trial_idx, threading.get_ident() == caller))
             return trial(ctx, snr_idx, trial_idx)
 
-        class LoggedPool(ThreadPool):
-            def __init__(self, processes, initializer, initargs):
-                log["workers"].append(processes)
-                super().__init__(processes, initializer, initargs)
+        class LoggedPool(ThreadPoolExecutor):
+            """Logs a check at a call's first task; the call's other tasks
+            join it, until it holds one task per worker."""
 
-            def starmap_async(self, fn, tasks):
-                log["events"].append(("check", list(tasks)))
-                return super().starmap_async(fn, tasks)
+            def __init__(self, max_workers, initializer, initargs):
+                log["workers"].append(max_workers)
+                super().__init__(max_workers, initializer=initializer, initargs=initargs)
+                self.tasks = None
+
+            def submit(self, fn, *args):
+                if self.tasks is None or len(self.tasks) == self._max_workers:
+                    self.tasks = []
+                    log["events"].append(("check", self.tasks))
+                self.tasks.append(args)
+                return super().submit(fn, *args)
 
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
         monkeypatch.setattr(harness, "_WORKER_NEXT", None)
         monkeypatch.setattr(harness, "run_single_trial", logged_trial)
-        monkeypatch.setattr(harness.multiprocessing, "Pool", LoggedPool)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", LoggedPool)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
         return log
 
@@ -359,7 +366,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
         monkeypatch.setattr(harness, "_WORKER_NEXT", None)
         monkeypatch.setattr(harness, "run_single_trial", instant_trial)
-        monkeypatch.setattr(harness.multiprocessing, "Pool", ThreadPool)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -419,13 +426,17 @@ class TestRunExperiment:
         assert others.value < 12
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a pool worker")
-    def test_interrupt_ends_a_parallel_run(self, tmp_path):
-        """SIGINT to the process group of a two-job ``pnc-sim run``, as
-        Ctrl-C sends it, once the calling process and the pool worker both
-        run trials, ends the run by the interrupt within 20 s and leaves no
-        process of the group.  The worker's task dies with the interrupt, so
-        a pool shutdown that waits for its result would wait forever; the
-        subprocess timeout fails the test instead of hanging it."""
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["sigint", "sigkill"])
+    def test_interrupt_ends_a_parallel_run(self, tmp_path, sig):
+        """Once the calling process and the pool worker of a two-job
+        ``pnc-sim run`` both run trials, SIGINT to its process group, as
+        Ctrl-C sends it, ends the run by the interrupt within 20 s; SIGKILL
+        to the worker alone, as the OOM killer sends it, fails the run with
+        exit code 1 and BrokenProcessPool's message within 20 s, though the
+        calling process has most of 10^6 trials left.  Either way no
+        process of the group is left.  A run that waits for a dead task's
+        result would wait forever; the subprocess timeout fails the test
+        instead of hanging it."""
         marks = tmp_path / "marks"
         marks.mkdir()
         ini = tmp_path / "long.ini"
@@ -433,21 +444,29 @@ class TestRunExperiment:
             "[frame]\nmodulation = bpsk\nm_symbols = 2\n[receiver]\nreceivers = baseline\n"
             "[run]\nsnr_db = 8\ntrials_per_snr = 1000000\nmin_errors = 1000000000\njobs = 2\n"
         )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _MARKED_CLI, str(marks), "run", str(ini),
-             "--out", str(tmp_path / "out.csv")],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            start_new_session=True,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        err = tmp_path / "stderr.txt"
+        with open(err, "w") as err_fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _MARKED_CLI, str(marks), "run", str(ini),
+                 "--out", str(tmp_path / "out.csv")],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                start_new_session=True,
+                stdout=subprocess.DEVNULL,
+                stderr=err_fh,
+            )
         try:
             deadline = time.monotonic() + 60
             while len(list(marks.iterdir())) < 2 and proc.poll() is None:
                 assert time.monotonic() < deadline, "the run never started its trials"
                 time.sleep(0.05)
-            os.killpg(proc.pid, signal.SIGINT)
-            assert proc.wait(timeout=20) == -signal.SIGINT
+            if sig == signal.SIGINT:
+                os.killpg(proc.pid, signal.SIGINT)
+                assert proc.wait(timeout=20) == -signal.SIGINT
+            else:
+                (worker,) = {int(mark.name) for mark in marks.iterdir()} - {proc.pid}
+                os.kill(worker, signal.SIGKILL)
+                assert proc.wait(timeout=20) == 1
+                assert "terminated abruptly" in err.read_text()
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)

@@ -99,21 +99,10 @@ def _received_with_phases(cfg, theta, chan, seed=0, sigma_n2=0.0):
     rng = np.random.default_rng(seed)
     tm, con = cfg.tone_map(), cfg.constellation()
     ra = RaCode.build(cfg.k_info, 3)
-    info_a = rng.integers(0, 2, cfg.k_info)
-    info_b = rng.integers(0, 2, cfg.k_info)
-    ga = np.fft.fft(
-        transmit_frame(ra_encode(info_a, ra), cfg, tm, con, 0).reshape(
-            cfg.m_symbols, cfg.n_s
-        )[:, cfg.n_cp :],
-        norm="ortho",
-        axis=1,
-    )
-    gb = np.fft.fft(
-        transmit_frame(ra_encode(info_b, ra), cfg, tm, con, 1).reshape(
-            cfg.m_symbols, cfg.n_s
-        )[:, cfg.n_cp :],
-        norm="ortho",
-        axis=1,
+    info = rng.integers(0, 2, (2, cfg.k_info))
+    frames = transmit_frame(ra_encode(info, ra), cfg, tm, con)
+    ga, gb = np.fft.fft(
+        frames.reshape(2, cfg.m_symbols, cfg.n_s)[..., cfg.n_cp :], norm="ortho", axis=-1
     )
     r = (
         np.exp(1j * theta[:, 0])[:, None] * ga * chan.h_freq[0][None, :]
@@ -123,7 +112,7 @@ def _received_with_phases(cfg, theta, chan, seed=0, sigma_n2=0.0):
         r = r + np.sqrt(sigma_n2 / 2) * (
             rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
         )
-    return r, (info_a, info_b), ra
+    return r, info, ra
 
 
 class TestLsPilotPhase:
@@ -842,12 +831,10 @@ class TestEmBpReceive:
         rng = np.random.default_rng(seed)
         tm, con = cfg.tone_map(), cfg.constellation()
         ra = RaCode.build(cfg.k_info, 3)
-        info_a = rng.integers(0, 2, cfg.k_info)
-        info_b = rng.integers(0, 2, cfg.k_info)
-        fa = transmit_frame(ra_encode(info_a, ra), cfg, tm, con, 0)
-        fb = transmit_frame(ra_encode(info_b, ra), cfg, tm, con, 1)
+        info = rng.integers(0, 2, (2, cfg.k_info))
+        frames = transmit_frame(ra_encode(info, ra), cfg, tm, con)
         chan = sample_selective(4, 1.0, rng, tau=tau, cfo=cfo)
-        samples = simulate_uplink((fa, fb), chan, sigma_n2, rng, cfg)
+        samples = simulate_uplink(frames, chan, sigma_n2, rng, cfg)
         freq = demodulate(samples, cfg)
         rx_cfg = ReceiverConfig(
             sigma_w2=effective_noise_var(sigma_n2, max(abs(cfo[0]), abs(cfo[1])) * 2),
@@ -855,7 +842,7 @@ class TestEmBpReceive:
             **rx_kw,
         )
         out = em_bp_receive(freq, chan, tm, JointPairDecoder(ra, con), rx_cfg)
-        return out, (info_a, info_b), (freq, chan, tm, con, ra, rx_cfg)
+        return out, info, (freq, chan, tm, con, ra, rx_cfg)
 
     def test_noiseless_zero_cfo_exact(self, cfg):
         out, (info_a, info_b), _ = self._simulate(cfg, em_iters=2, tau=7)
