@@ -59,7 +59,7 @@ class ExperimentConfig:
     delta: float = _ini("channel", 0.1)
     # None draws uniformly from the CP-safe range
     tau: int | None = _ini("channel", None, none="random")
-    receivers: tuple[str, ...] = _ini("receiver", ("baseline", "em_bp"))
+    receivers: tuple[str, ...] = _ini("receiver", ("baseline", "em_bp"), lowercase=True)
     em_bp_k: tuple[int, ...] = _ini("receiver", (7,))
     bp_iters: int = _ini("receiver", rx_mod.ReceiverConfig.bp_iters)
     particle_rounds: int = _ini("receiver", rx_mod.ReceiverConfig.particle_rounds)
@@ -105,15 +105,8 @@ class ExperimentConfig:
             raise ValueError("em_bp requested but no iteration counts given")
         if any(k < 1 for k in self.em_bp_k) or len(set(self.em_bp_k)) != len(self.em_bp_k):
             raise ValueError(f"em_bp_k must list distinct counts >= 1, got {self.em_bp_k}")
-        for snr_db in snrs:  # delta <= 1 bounds the ICI term, so only the noise can overflow
-            try:
-                sigma_n2 = _sigma_n2_for(frame_cfg, snr_db)
-            except ArithmeticError:  # Eb/N0 overflows, or underflows to 0
-                sigma_n2 = np.inf
-            if not sigma_n2 < np.inf:
-                raise ValueError(f"snr_db = {snr_db}: noise out of range")
-        self.receiver_config(sigma_n2=0.0)  # bp/particle/refine checks
-        need, limit = _trial_bytes(self, frame_cfg) / 2**30, TRIAL_BYTES_LIMIT / 2**30
+        rx_cfg = _points(self, frame_cfg)[0][1]  # every point runs the same sizes
+        need, limit = _trial_bytes(frame_cfg, rx_cfg) / 2**30, TRIAL_BYTES_LIMIT / 2**30
         if need > limit:
             raise ValueError(f"one trial needs {need:.3g} GiB, over the {limit:g} GiB limit")
 
@@ -131,24 +124,38 @@ class ExperimentConfig:
             rows.extend(("em_bp", k) for k in sorted(self.em_bp_k))
         return rows
 
-    def receiver_config(self, sigma_n2: float) -> rx_mod.ReceiverConfig:
-        """Receiver tunables for one SNR point, run to the largest reported K."""
-        return rx_mod.ReceiverConfig(
-            sigma_w2=rx_mod.effective_noise_var(sigma_n2, self.delta),
-            em_iters=max(k for _, k in self.reported()),
-            **{name: getattr(self, name) for name in _RX_TUNABLES},
-        )
+
+def _points(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig) -> tuple:
+    """Per SNR point, the relay's noise variance and the receiver settings,
+    run to the largest reported K.  Raises ValueError on a point whose
+    noise leaves the range the evidence can square, or on a bad tunable."""
+    rate, bits = 1.0 / frame_cfg.code_rate_inv, frame_cfg.constellation().bits_per_symbol
+    tunables = {name: getattr(cfg, name) for name in _RX_TUNABLES}
+    tunables["em_iters"] = max(k for _, k in cfg.reported())
+    points = []
+    for snr_db in cfg.snr_db_list:  # delta <= 1 bounds the ICI term, so only the noise can overflow
+        try:
+            sigma_n2 = chan_mod.noise_var(snr_db, rate, bits)
+        except ArithmeticError:  # Eb/N0 overflows, or underflows to 0
+            sigma_n2 = np.inf
+        # a tone's squared residual is sigma_n2 times an Exp(1) draw, so under
+        # this bound it overflows with probability below e^-4096
+        if not sigma_n2 < np.finfo(float).max / 2**12:
+            raise ValueError(f"snr_db = {snr_db}: noise out of range")
+        sigma_w2 = rx_mod.effective_noise_var(sigma_n2, cfg.delta)
+        points.append((sigma_n2, rx_mod.ReceiverConfig(sigma_w2=sigma_w2, **tunables)))
+    return tuple(points)
 
 
-def _trial_bytes(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig) -> int:
+def _trial_bytes(frame_cfg: frame_mod.FrameConfig, rx_cfg: rx_mod.ReceiverConfig) -> int:
     """Estimated peak bytes of one trial's arrays: the (M, N_d, Q^2) evidence
     and decoder tables; per coded bit, the decoder's messages and the sample
     streams; with an M-step, the particle search's (M, L^2) arrays and its
     cached 64 L^2-byte lattice tables; the K + 1 history rows.  The byte
     counts were fitted, on the high side, to the tracemalloc peaks of single
     trials at M = 10000 (BPSK and QPSK) and L = 800."""
-    m, l2, k = cfg.m_symbols, cfg.particle_l**2, max(k for _, k in cfg.reported())
-    tables = (1 + cfg.em_refine_passes) * (1 + cfg.particle_rounds)
+    m, l2, k = frame_cfg.m_symbols, rx_cfg.particle_l**2, rx_cfg.em_iters
+    tables = (1 + rx_cfg.em_refine_passes) * (1 + rx_cfg.particle_rounds)
     tables = min(tables, rx_mod._lattice.cache_parameters()["maxsize"])
     search = 40 * m * l2 + 64 * l2 * tables if k else 0
     decode = 48 * m * frame_cfg.n_data * frame_cfg.constellation().size**2
@@ -224,23 +231,19 @@ class _TrialContext:
     tone_map: frame_mod.ToneMap
     decoder: JointPairDecoder
     report_ks: tuple
-    sigma_n2: tuple[float, ...]  # per SNR point: the relay's noise variance
-    rx_cfgs: tuple[rx_mod.ReceiverConfig, ...]  # per SNR point
+    points: tuple[tuple[float, rx_mod.ReceiverConfig], ...]  # per SNR point: (sigma_n2, rx_cfg)
 
 
 def _make_context(cfg: ExperimentConfig) -> _TrialContext:
-    ks = tuple(k for _, k in cfg.reported())
     frame_cfg = frame_mod.default_config(cfg.modulation, cfg.m_symbols)
     ra_code = RaCode.build(frame_cfg.k_info, cfg.interleaver_seed)
-    sigma_n2 = tuple(_sigma_n2_for(frame_cfg, snr_db) for snr_db in cfg.snr_db_list)
     return _TrialContext(
         cfg=cfg,
         frame_cfg=frame_cfg,
         tone_map=frame_cfg.tone_map(),
         decoder=JointPairDecoder(ra_code, frame_cfg.constellation()),
-        report_ks=ks,
-        sigma_n2=sigma_n2,
-        rx_cfgs=tuple(cfg.receiver_config(s) for s in sigma_n2),
+        report_ks=tuple(k for _, k in cfg.reported()),
+        points=_points(cfg, frame_cfg),
     )
 
 
@@ -262,9 +265,10 @@ def run_single_trial(ctx: _TrialContext, snr_idx: int, trial_idx: int) -> TrialM
     info = rng.integers(0, 2, (2, fc.k_info))  # node A's row is drawn first
     coded = ra_encode(info, ctx.decoder.ra)
     frames = frame_mod.transmit_frame(coded, fc, ctx.tone_map, ctx.decoder.constellation)
-    samples = chan_mod.simulate_uplink(frames, chan, ctx.sigma_n2[snr_idx], rng, fc)
+    sigma_n2, rx_cfg = ctx.points[snr_idx]
+    samples = chan_mod.simulate_uplink(frames, chan, sigma_n2, rng, fc)
     freq = rx_mod.demodulate(samples, fc)
-    out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, ctx.rx_cfgs[snr_idx])
+    out = rx_mod.em_bp_receive(freq, chan, ctx.tone_map, ctx.decoder, rx_cfg)
     truth = chan_mod.phase_trajectory(chan, fc)
     true_xor = np.bitwise_xor(*info)
     errors = np.array(
@@ -310,11 +314,6 @@ def _take_trials(ctx, next_trial, snr_idx, stop) -> list[tuple[int, TrialMetrics
 
 def _worker_trials(snr_idx, stop) -> list[tuple[int, TrialMetrics]]:
     return _take_trials(_WORKER_CTX, _WORKER_NEXT, snr_idx, stop)
-
-
-def _sigma_n2_for(frame_cfg: frame_mod.FrameConfig, snr_db: float) -> float:
-    bits_per_symbol = frame_cfg.constellation().bits_per_symbol
-    return chan_mod.noise_var(snr_db, 1.0 / frame_cfg.code_rate_inv, bits_per_symbol)
 
 
 @contextlib.contextmanager
@@ -382,13 +381,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             mse_sum = np.zeros((n_rep, 2))
             bits = 0
             frames = 0
-            while frames < cfg.trials_per_snr and (
-                frames < cfg.min_frames
-                or frames == 0
-                or int(errors.min()) < cfg.min_errors
-            ):
+            while True:
                 shortfall = -(-(cfg.min_errors - int(errors.min())) // k_info)
-                need = max(cfg.min_frames, frames + 1, frames + shortfall)
+                need = min(max(cfg.min_frames, 1, frames + shortfall), cfg.trials_per_snr)
+                if need <= frames:  # the policy holds, or the cap is met
+                    break
                 stop = min(-(-need // _BATCH) * _BATCH, cfg.trials_per_snr)
                 for m in run(snr_idx, frames, stop):
                     errors += m.xor_errors
@@ -436,15 +433,14 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
 
 
 def parse_csv(path: str) -> list[ResultRow]:
-    """Inverse of emit_csv (errors are not serialized and read back as 0)."""
+    """Inverse of emit_csv.  errors is no column, but ber = errors / bits
+    rounds to the nearest float, so round(ber * bits) is the count exactly."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
-        return [
-            ResultRow(**{name: cast(rec[name]) for name, cast in _CSV_TYPES.items()})
-            for rec in reader
-        ]
+        rows = (ResultRow(**{n: cast(rec[n]) for n, cast in _CSV_TYPES.items()}) for rec in reader)
+        return [replace(r, errors=round(r.ber * r.bits)) for r in rows]
 
 
 def _ini_parser(hint, none: str = "", lowercase: bool = False):
@@ -454,7 +450,7 @@ def _ini_parser(hint, none: str = "", lowercase: bool = False):
         parse = _ini_parser(inner)
         return lambda raw: None if raw.lower() == none else parse(raw)
     if typing.get_origin(hint) is tuple:  # tuple[T, ...], a comma list
-        parse = _ini_parser(typing.get_args(hint)[0])
+        parse = _ini_parser(typing.get_args(hint)[0], lowercase=lowercase)
         return lambda raw: tuple(parse(s.strip()) for s in raw.split(",") if s.strip())
     return str.lower if lowercase else hint
 

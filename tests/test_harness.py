@@ -250,6 +250,9 @@ class TestRunExperiment:
             dict(trials_per_snr=64, min_frames=8, min_errors=700),
             # high SNR: few errors per frame, stopped after six more submissions
             dict(snr_db_list=(12.0,), trials_per_snr=64, min_errors=200),
+            # no frame floor and no error target: one batch, as at least one
+            # frame must run
+            dict(trials_per_snr=20, min_frames=0, min_errors=0),
         ]
         untimed = lambda rows: [dataclasses.replace(r, seconds=0.0) for r in rows]
         for kw in cases:
@@ -259,7 +262,9 @@ class TestRunExperiment:
                 parallel = run_experiment(with_overrides(cfg, jobs=jobs))
                 assert untimed(serial.rows) == untimed(parallel.rows)
             frames = serial.rows[0].frames
-            if cfg.min_errors < 10**9:
+            if cfg.min_errors == 0:
+                assert frames == harness._BATCH
+            elif cfg.min_errors < 10**9:
                 assert cfg.min_frames < frames < cfg.trials_per_snr
                 assert frames % harness._BATCH == 0
             else:
@@ -630,6 +635,7 @@ class TestCsv:
             assert rec.bits == orig.bits
             assert rec.frames == orig.frames
             assert rec.seconds == orig.seconds
+            assert rec.errors == orig.errors  # round(ber * bits)
 
     def test_header_and_row_order(self, tmp_path):
         cfg = _tiny_config(snr_db_list=(8.0, 4.0), em_bp_k=(1,), trials_per_snr=2)
@@ -718,16 +724,16 @@ class TestConfigFileAndCli:
         assert cfg.master_seed == 123
 
     def test_every_ini_key_reaches_its_field(self, tmp_path):
-        """One file sets every key to a non-default value; modulation and
-        kind are lowercased, out keeps its case, and the sentinel word
-        random gives way to a value."""
+        """One file sets every key to a non-default value; modulation, kind
+        and each receivers entry are lowercased, out keeps its case, and the
+        sentinel word random gives way to a value."""
         out = tmp_path / "Runs" / "Flat.CSV"
         path = tmp_path / "exp.ini"
         path.write_text(
             "[frame]\nmodulation = BPSK\nm_symbols = 3\n"
             "[code]\ninterleaver_seed = 7\n"
             "[channel]\nkind = Selective\ntaps = 3\ndecay = 0.5\ndelta = 0.05\ntau = 3\n"
-            "[receiver]\nreceivers = em_bp\nem_bp_k = 2, 5\nbp_iters = 12\n"
+            "[receiver]\nreceivers = EM_BP\nem_bp_k = 2, 5\nbp_iters = 12\n"
             "particle_rounds = 2\nparticle_l = 6\nparticle_shrink = 0.2\n"
             "em_refine_passes = 1\n"
             "[run]\nsnr_db = 5, 9.5\ntrials_per_snr = 40\nmin_errors = 7\nmin_frames = 3\n"
@@ -788,7 +794,7 @@ class TestConfigFileAndCli:
         assert len(lines) == len(rows) + 1
         for row, line in zip(rows, lines):
             assert line.split()[:2] == [row.receiver, f"k={row.em_iters}"]
-            assert f" errors={round(row.ber * row.bits)} " in line
+            assert f" errors={row.errors} " in line
             assert "[" not in line
 
     def test_cli_run_noiseless_point(self, tmp_path, capsys):
@@ -833,6 +839,7 @@ class TestConfigFileAndCli:
             ("[run]\n", ["--out", "no_such_dir/x.csv"], "no_such_dir/x.csv"),
             ("[run]\nsnr_db = 1e308\n", [], "snr_db"),
             ("[run]\nsnr_db = -1e308\n", [], "snr_db"),
+            ("[run]\nsnr_db = -3079\n", [], "snr_db = -3079.0: noise out of range"),
             ("[channel]\ndelta = 1e300\n", [], "delta"),
             ("[channel]\ndelta = 1.5\n", [], "delta"),
             ("[receiver]\nsigma_w2 = 1e-320\n", [], "sigma_w2"),
@@ -857,7 +864,7 @@ class TestConfigFileAndCli:
             "jobs-zero", "jobs-negative",
             "cli-jobs-zero", "min-frames", "duplicate-snr", "section-typo", "key-typo",
             "out-dir-missing", "cli-out-dir-missing", "snr-overflow", "snr-underflow",
-            "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
+            "snr-noise-overflow", "delta-overflow", "delta-past-one", "sigma-w2-subnormal", "cli-snr-malformed",
             "cli-snr-named", "em-bp-k-repeated", "receivers-repeated", "cli-out-is-dir",
             "out-empty", "cli-out-empty", "out-dot-csv", "cli-out-dot-csv",
             "trial-too-big-particles", "trial-too-big-frame",
