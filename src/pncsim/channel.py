@@ -71,7 +71,8 @@ def noise_var(ebn0_db: float, code_rate: float, bits_per_symbol: int) -> float:
 
 def exp_power_profile(n_taps: int, decay: float) -> np.ndarray:
     """Tap power profile proportional to exp(-decay*l), normalized to sum 1."""
-    p = np.exp(-decay * np.arange(n_taps))
+    with np.errstate(over="ignore"):  # a huge decay gives -inf past tap 0: power 0
+        p = np.exp(-decay * np.arange(n_taps))
     return p / p.sum()
 
 

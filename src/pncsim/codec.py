@@ -10,9 +10,9 @@ structure (one per node) hang off those factors.  Messages through the
 code constraints are per-node binary messages; the coupling between the
 nodes happens entirely inside the joint evidence factors.
 
-The decoder is sum-product with a flooding schedule in the log/LLR domain;
-both nodes' chains are stacked into (2, n) message arrays and updated in
-one pass per iteration (see ``JointPairDecoder``).
+The decoder is sum-product with a flooding schedule on LLR messages and
+once-scaled likelihoods; both nodes' chains are stacked into (2, n) message
+arrays and updated in one pass per iteration (see ``JointPairDecoder``).
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class PairEvidence:
 
     ``tables`` has shape (n_symbols, Q*Q) where entry a*Q + b corresponds to
     node A sending point ``a`` and node B point ``b``.  Symbols are ordered
-    OFDM-symbol-major, then by data-tone position; ``pair_evidence`` shifts
-    each row to a maximum of exactly 0."""
+    OFDM-symbol-major, then by data-tone position; ``JointPairDecoder.decode``
+    takes each row's constant off as its max."""
 
     tables: np.ndarray
 
@@ -120,13 +120,13 @@ class JointPairDecoder:
     (Q^2, n_symbols) arrays, so per-symbol reductions run down short
     columns.  A joint entry's log-prior is the sum of its bits'
     log p(bit = v) = log p(bit = 1) + [v = 0] * llr.  The log p(bit = 1)
-    terms are the same for all Q^2 entries of a symbol and cancel in the
-    per-symbol max shift and in every ratio of beliefs, so they are
-    dropped, and the log-prior becomes one matmul of the incoming LLRs with
-    a fixed 0/1 matrix.  A decoder instance holds only static structure
-    (interleaver layout and bit labelings); ``decode`` is a pure function of
-    the evidence and the start messages, so one instance may be reused
-    across frames.
+    terms are the same for all Q^2 entries of a symbol and cancel in every
+    ratio of beliefs, so they are dropped, and the log-prior becomes one
+    matmul of the incoming LLRs with a fixed 0/1 matrix.  ``decode`` takes
+    the evidence's per-symbol constant off once, scaling each symbol's
+    likelihoods to a maximum of 1, and BP multiplies the priors in (see
+    ``_beliefs``).  A decoder holds only static structure (interleaver
+    layout and bit labelings), so one instance may serve many frames.
     """
 
     def __init__(self, ra_code: RaCode, constellation: Constellation):
@@ -154,22 +154,21 @@ class JointPairDecoder:
         info = ra_code.interleaver // ra_code.repeat
         self.info_of_check = np.stack([info, info + ra_code.k_info])
 
-    def _beliefs(self, log_tables, v2e):
-        """Belief of every joint entry, scaled so each symbol's largest is 1.
+    def _beliefs(self, likelihood, v2e):
+        """Belief of every joint entry, up to a constant per symbol.
 
-        ``log_tables`` is the log-evidence as (Q^2, n_symbols) and ``v2e``
-        (2, n) the code-side extrinsic LLRs of both nodes' coded bits.  The
-        belief of a joint entry is its evidence times each involved bit's
-        incoming probability, without the per-symbol constant
-        prod p(bit = 1).  Returns the (Q^2, n_symbols) beliefs and the
-        clipped incoming LLRs as (2b, n_symbols), row u*b + p.
+        ``likelihood`` is the (Q^2, n_symbols) evidence, each symbol's largest
+        entry 1, and ``v2e`` (2, n) the code-side extrinsic LLRs.  A belief is
+        the likelihood times each involved bit's incoming probability over
+        p(bit = 1), a factor within e^(+-60b) after the +-30 clip, so no
+        symbol's sum overflows or is 0 and no shift is needed; an entry that
+        underflows to 0 moves a message only past the clip.  Returns the
+        beliefs and the clipped incoming LLRs as (2b, n_symbols), row u*b + p.
         """
         b = self.constellation.bits_per_symbol
         x = _clip(v2e).reshape(2, self.n_symbols, b).transpose(0, 2, 1).reshape(2 * b, -1)
-        full = self.zero_bit @ x
-        full += log_tables
-        full -= full.max(axis=0)
-        return np.exp(full, out=full), x
+        beliefs = self.zero_bit @ x
+        return np.multiply(np.exp(beliefs, out=beliefs), likelihood, out=beliefs), x
 
     def _evidence_llrs(self, beliefs, x):
         """Messages from the joint evidence factors to every coded bit, (2, n).
@@ -207,7 +206,8 @@ class JointPairDecoder:
                 f"evidence must cover all {self.n_symbols} data symbols "
                 f"with {self.q_joint}-entry tables, got {tables.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(tables.max(axis=1)))  # NaN, +inf or all -inf
+        row_max = tables.max(axis=1)
+        bad = np.flatnonzero(~np.isfinite(row_max))  # NaN, +inf or all -inf
         if bad.size:
             raise ValueError(f"evidence row max not finite at symbol index {bad[0]}")
         k, n = self.ra.k_info, self.ra.n_coded
@@ -226,12 +226,12 @@ class JointPairDecoder:
         outs, to_prev, to_cur, to_info = cur  # to_prev[:, 0] is unused
         tanhs = np.empty((3, 2, n))
         t_prev, t_cur, t_info = tanhs
+        # symbol-minor: per-symbol sums reduce over axis 0, vectorised across symbols
+        likelihood = np.exp(tables.T - row_max, order="C")
         with np.errstate(divide="ignore"):
-            # symbol-minor: per-symbol max and sums reduce over axis 0, vectorised across symbols
-            log_tables = np.ascontiguousarray(tables.T)
             for _ in range(inner_iters):
                 v2e = _extrinsic(to_prev, to_cur)
-                msg_ev = self._evidence_llrs(*self._beliefs(log_tables, v2e))
+                msg_ev = self._evidence_llrs(*self._beliefs(likelihood, v2e))
                 totals = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)
                 np.subtract(totals[self.info_of_check], to_info, out=in_info)
                 np.add(msg_ev[:, :-1], to_prev[:, 1:], out=in_cur[:, :-1])
@@ -252,7 +252,7 @@ class JointPairDecoder:
                 if _same_messages(outs, old[0]):
                     break
             # beliefs with the final messages
-            beliefs, _ = self._beliefs(log_tables, _extrinsic(to_prev, to_cur))
+            beliefs, _ = self._beliefs(likelihood, _extrinsic(to_prev, to_cur))
 
         # an info bit hears only its three checks, so their sum is its posterior LLR
         info_llr = np.bincount(bins, weights=to_info.reshape(-1), minlength=2 * k)

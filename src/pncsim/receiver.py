@@ -119,8 +119,8 @@ def pair_evidence(
 
     Entry (m, i, a*Q+b) is log p(R | X_a, X_b) up to a per-tone constant,
     -|R_{m,i} - e^{j theta_a,m} X_a H_a,i - e^{j theta_b,m} X_b H_b,i|^2
-    / sigma_w2, shifted to a tone maximum of exactly 0 so that the decoder's
-    priors keep their low bits at the sigma_w2 floor (entries near -1e12).
+    / sigma_w2, unshifted: the decoder takes each row's max off once, then
+    multiplies the priors in, so no entry's size costs them low bits.
     """
     data = tone_map.data_tones
     r = r[:, data]  # (M, N_d)
@@ -134,7 +134,6 @@ def pair_evidence(
     log_k = np.abs(resid).reshape(*r.shape, q * q)  # later steps run in place
     np.square(log_k, out=log_k)
     log_k /= -sigma_w2
-    log_k -= log_k.max(axis=2, keepdims=True)
     return PairEvidence(tables=log_k.reshape(-1, q * q))
 
 

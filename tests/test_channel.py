@@ -97,8 +97,10 @@ class TestSamplers:
         assert (mags.max() - mags.min()) / mags.mean() < 1e-3
 
     def test_profile_normalization_exact(self):
-        for c in (0.0, 0.25, 1.0, 5.0):
+        for c in (0.0, 0.25, 1.0, 5.0, 1e308):
             assert abs(exp_power_profile(4, c).sum() - 1.0) < 1e-12
+        # -decay * l overflows past tap 0 without a warning, and those taps get no power
+        np.testing.assert_array_equal(exp_power_profile(4, 1e308), [1.0, 0.0, 0.0, 0.0])
 
 
 class TestChannelRealization:

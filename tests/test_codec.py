@@ -43,7 +43,7 @@ def delta_evidence(coded_a, coded_b, constellation):
 
 def pair_evidence_awgn(coded_a, coded_b, constellation, h_a, h_b, sigma2, rng):
     """Log-evidence from superimposed transmission over scalar channels,
-    shifted to a row maximum of 0 as ``pair_evidence`` shifts it."""
+    shifted to a row maximum of 0, as the decoder shifts each row itself."""
     q = constellation.size
     sym_a = map_bits(coded_a, constellation)
     sym_b = map_bits(coded_b, constellation)
@@ -530,3 +530,18 @@ class TestShiftInvariance:
         np.testing.assert_allclose(
             expit(moved.info_llr), expit(post.info_llr), rtol=0, atol=5e-13
         )
+
+    @pytest.mark.parametrize("ebn0_db", [0.0, 6.0, 30.0])
+    @pytest.mark.parametrize("mod", [BPSK, QPSK])
+    def test_far_rows_decode_as_max_shifted(self, mod, ebn0_db):
+        """The decoder takes each row's max off once, before BP, so rows
+        stored far from 0 decode bit for bit like the same rows minus their
+        maxima."""
+        decoder, ev = flat_frame_evidence(mod, ebn0_db, seed=4)
+        offset = np.random.default_rng(6).uniform(-1e6, 1e6, (len(ev.tables), 1))
+        far = ev.tables + offset
+        post = decoder.decode(PairEvidence(tables=far), 20)
+        shifted = decoder.decode(PairEvidence(tables=far - far.max(axis=1, keepdims=True)), 20)
+        np.testing.assert_array_equal(post.pair_symbol, shifted.pair_symbol)
+        np.testing.assert_array_equal(post.info_llr, shifted.info_llr)
+        np.testing.assert_array_equal(post.messages, shifted.messages)

@@ -212,7 +212,6 @@ def reference_pair_evidence(r, chan, tone_map, constellation, theta, sigma_w2):
     hyp = rot_a * chan.h_freq[0][data][None, :, None] * xa[None, None, :]
     hyp += rot_b * chan.h_freq[1][data][None, :, None] * xb[None, None, :]
     log_k = -np.abs(r[:, :, None] - hyp) ** 2 / sigma_w2
-    log_k -= log_k.max(axis=2, keepdims=True)
     return log_k.reshape(-1, len(xa))
 
 
@@ -252,8 +251,10 @@ class TestPairEvidence:
                     con.points,
                     sigma_w2,
                 )
-                # the kernel up to the row shift, which puts the row max at 0
-                np.testing.assert_allclose(tables[m, d], expect - expect.max(), atol=1e-12)
+                # the kernel up to a per-tone constant, fixed here by each row's max
+                np.testing.assert_allclose(
+                    tables[m, d] - tables[m, d].max(), expect - expect.max(), atol=1e-12
+                )
 
     def test_true_pair_attains_maximum_noiseless(self, cfg):
         tm, con = cfg.tone_map(), cfg.constellation()
@@ -302,9 +303,13 @@ class TestPairEvidence:
         ev = pair_evidence(
             r, chan, tm, con, np.zeros((cfg.m_symbols, 2)), sigma_w2=1e-6
         )
-        # the log domain cannot underflow: each row keeps its max at 0
-        np.testing.assert_array_equal(ev.tables.max(axis=1), 0.0)
+        # the log domain cannot underflow, and the decoder scales each row by
+        # its own max, so every symbol keeps a nonzero belief
         assert np.all(np.isfinite(ev.tables))
+        decoder = JointPairDecoder(RaCode.build(cfg.k_info, seed=3), con)
+        post = decoder.decode(ev, 5)
+        assert np.all(np.isfinite(post.pair_symbol)) and np.all(np.isfinite(post.info_llr))
+        np.testing.assert_allclose(post.pair_symbol.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def oracle_objective(theta_pair, r_data, h_a, h_b, posterior, points):
