@@ -26,12 +26,14 @@ _PILOT_TONES = ((-21, -7), (7, 21))
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Unit-energy symbol alphabet with an integer bit labeling.
+    """Unit-modulus symbol alphabet with an integer bit labeling.
 
     ``points[v]`` is the symbol whose bit group, read MSB first, encodes the
     integer ``v``.  BPSK maps bit 0 to +1 and bit 1 to -1; QPSK uses the
     Gray labeling with 00 -> (1+1j)/sqrt(2).  Each of the Q = ``size``
-    points carries log2(Q) bits.
+    points carries log2(Q) bits.  Every point has |x| = 1, not just the
+    mean energy: the receiver's pair kernel drops |H_a X_a|^2 + |H_b X_b|^2
+    as the same for every symbol pair.
     """
 
     points: np.ndarray

@@ -128,7 +128,7 @@ class ExperimentConfig:
 def _points(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig) -> tuple:
     """Per SNR point, the relay's noise variance and the receiver settings,
     run to the largest reported K.  Raises ValueError on a point whose
-    noise leaves the range the evidence can square, or on a bad tunable."""
+    noise variance reaches the bound below, or on a bad tunable."""
     rate, bits = 1.0 / frame_cfg.code_rate_inv, frame_cfg.constellation().bits_per_symbol
     tunables = {name: getattr(cfg, name) for name in _RX_TUNABLES}
     tunables["em_iters"] = max(k for _, k in cfg.reported())
@@ -138,8 +138,9 @@ def _points(cfg: ExperimentConfig, frame_cfg: frame_mod.FrameConfig) -> tuple:
             sigma_n2 = chan_mod.noise_var(snr_db, rate, bits)
         except ArithmeticError:  # Eb/N0 overflows, or underflows to 0
             sigma_n2 = np.inf
-        # a tone's squared residual is sigma_n2 times an Exp(1) draw, so under
-        # this bound it overflows with probability below e^-4096
+        # no receiver step squares a sample (the pair kernel forms conj(R) H);
+        # the bound keeps sigma_n2 finite, and under it a tone's energy |R|^2,
+        # sigma_n2 times an Exp(1) draw, overflows with probability below e^-4096
         if not sigma_n2 < np.finfo(float).max / 2**12:
             raise ValueError(f"snr_db = {snr_db}: noise out of range")
         sigma_w2 = rx_mod.effective_noise_var(sigma_n2, cfg.delta)

@@ -6,9 +6,9 @@ references, then runs one joint BP decode.  The EM-BP receiver iterates:
 decode with the current phase pair, then re-estimate each OFDM symbol's
 phase pair by maximizing the posterior-weighted fit of the received tones
 with a shrinking particle grid, and finally decodes once more with the
-converged phases before taking the per-bit XOR decision.  The phase
-objective is built once per frame, with the frame's fixed terms, and each
-M-step refits it to the round's posterior before 1 + em_refine_passes
+converged phases before taking the per-bit XOR decision.  One pair kernel
+serves the pair evidence and the phase objective; each M-step builds the
+objective from the round's posterior, then runs 1 + em_refine_passes
 particle searches, each batched over all M symbols.  The grid's full-plane
 lattice is anchored at each symbol's running phase estimate, not at
 absolute phase 0, so the search treats every true drift alike.
@@ -107,6 +107,32 @@ def ls_pilot_phase(r: np.ndarray, tone_map: ToneMap, h_freq: np.ndarray) -> np.n
     return _wrap(np.angle(np.stack(corr, axis=1)))
 
 
+# The pair kernel.  For unit-modulus points,
+#   -|R - e^{j theta_a} H_a X_a - e^{j theta_b} H_b X_b|^2
+#     = sum_c _WEIGHTS[c] Re(w_c e^{j angle_c} t_c) - |R|^2 - |H_a|^2 - |H_b|^2
+# with the tone weights w (_tone_weights), the pair terms t (_pair_terms) and
+# the angles theta_a, theta_b, theta_a - theta_b, which the (M, 2) phases
+# @ _ANGLES give.  The last three terms are the same for every symbol pair,
+# so the evidence and the phase objective both drop them.
+_ANGLES = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+_WEIGHTS = np.array([2.0, 2.0, -2.0])
+
+
+def _pair_terms(constellation: Constellation) -> np.ndarray:
+    """(Q^2, 3) X_a, X_b and X_a conj(X_b) of each joint entry a*Q + b."""
+    points, q = constellation.points, constellation.size
+    xa, xb = points.repeat(q), np.tile(points, q)
+    return np.stack([xa, xb, xa * np.conj(xb)], axis=1)
+
+
+def _tone_weights(r_data: np.ndarray, h_data: np.ndarray) -> np.ndarray:
+    """(M, N_d, 3) conj(R) H_a, conj(R) H_b and H_a conj(H_b) of the (M, N_d)
+    data tones ``r_data`` and the channel pair ``h_data`` on them."""
+    (h_a, h_b), r_conj = h_data, np.conj(r_data)
+    h_ab = np.broadcast_to(h_a * np.conj(h_b), r_conj.shape)
+    return np.stack([r_conj * h_a, r_conj * h_b, h_ab], axis=-1)
+
+
 def pair_evidence(
     r: np.ndarray,
     chan: ChannelRealization,
@@ -117,24 +143,17 @@ def pair_evidence(
 ) -> PairEvidence:
     """Gaussian log-evidence on every data tone for every symbol pair.
 
-    Entry (m, i, a*Q+b) is log p(R | X_a, X_b) up to a per-tone constant,
-    -|R_{m,i} - e^{j theta_a,m} X_a H_a,i - e^{j theta_b,m} X_b H_b,i|^2
-    / sigma_w2, unshifted: the decoder takes each row's max off once, then
-    multiplies the priors in, so no entry's size costs them low bits.
+    Entry (m, i, a*Q+b) is log p(R | X_a, X_b) up to a per-tone constant:
+    the pair kernel over sigma_w2, unshifted.  The decoder takes each row's
+    max off once, then multiplies the priors in, so no entry's size costs
+    them low bits.
     """
     data = tone_map.data_tones
-    r = r[:, data]  # (M, N_d)
-    q = constellation.size
-    # each node's (M, N_d, Q) hypotheses; entry a*Q+b of a tone is their pair
-    # sum, built in one complex buffer that the residual then overwrites
-    h = chan.h_freq[:, data].T  # (N_d, 2)
-    hyp = (np.exp(1j * theta)[:, None, :] * h)[..., None] * constellation.points
-    resid = hyp[:, :, 0, :, None] + hyp[:, :, 1, None, :]
-    np.subtract(r[:, :, None, None], resid, out=resid)
-    log_k = np.abs(resid).reshape(*r.shape, q * q)  # later steps run in place
-    np.square(log_k, out=log_k)
-    log_k /= -sigma_w2
-    return PairEvidence(tables=log_k.reshape(-1, q * q))
+    weights = _tone_weights(r[:, data], chan.h_freq[:, data])  # (M, N_d, 3)
+    weights *= (np.exp(1j * (theta @ _ANGLES)) * (_WEIGHTS / sigma_w2))[:, None, :]
+    # Re(u t) = [Re u, Im u] . [Re, Im] conj(t): one real (M N_d, 6) @ (6, Q^2) matmul
+    terms = np.conj(_pair_terms(constellation)).view(np.float64).T
+    return PairEvidence(tables=weights.view(np.float64).reshape(-1, 6) @ terms)
 
 
 class PhaseObjective:
@@ -145,10 +164,10 @@ class PhaseObjective:
     tones against the phase-rotated hypothesis: data tones averaged over
     the decoder's joint symbol posterior, and each node's pilot tones
     against the known +1 that node sends on its own pilot tones (the other
-    node sends nothing on them).  The constant is every term that no phase
-    changes: the received, hypothesis and pilot energies.  Like the pair
-    evidence, the objective is known only up to it, which moves no argmax
-    and no comparison of one symbol's phase pairs.  Larger is better.
+    node sends nothing on them).  It is the pair kernel's expansion, its
+    pair terms replaced by their posterior means, so like the pair evidence
+    it is known only up to a constant, which moves no argmax and no
+    comparison of one symbol's phase pairs.  Larger is better.
     ``r_data`` is a frame's (M, N_d) data tones with an (M, N_d, Q^2)
     ``posterior``, ``h_data`` the (2, N_d) channel pair on the data tones,
     and ``pilots`` holds, node A first, each node's (r_p, h_p) pair of the
@@ -160,44 +179,19 @@ class PhaseObjective:
     O(1) per phase pair.
     """
 
-    def __init__(
-        self,
-        r_data: np.ndarray,
-        h_data: np.ndarray,
-        posterior: np.ndarray,
-        constellation: Constellation,
-        pilots=(),
-    ):
+    def __init__(self, r_data, h_data, posterior, constellation: Constellation, pilots=()):
         if np.ndim(r_data) != 2:
             raise ValueError(f"r_data must be (M, N_d) data tones, got shape {np.shape(r_data)}")
-        # All but the posterior is fixed for a frame and kept for fit: one
-        # real matmul gives each tone's posterior means of X_a, X_b and
-        # X_a conj(X_b); one weighted sum over the tones follows, so no
-        # (M, N_d, Q^2) product is built.
-        pair = lambda a, b: np.array([a, b, a * np.conj(b)]).T
-        q, points = constellation.size, constellation.points
-        xa, xb = points.repeat(q), np.tile(points, q)  # joint entry a*Q + b
-        self._terms = np.ascontiguousarray(pair(xa, xb)).view(np.float64)
-        self._r_conj = np.conj(r_data)[..., None]
-        self._h_pair = pair(*h_data)
+        # posterior means of the pair terms by one real matmul, times the tone weights
+        means = (posterior @ _pair_terms(constellation).view(np.float64)).view(np.complex128)
+        self.stats = (means * _tone_weights(r_data, h_data)).sum(axis=1)
         # pilot tones: the owner's +1 through its channel, silence from the other
-        self._pilot_corr = [np.conj(r_p) @ h_p for r_p, h_p in pilots]
-        self.fit(posterior)
-
-    def fit(self, posterior: np.ndarray) -> PhaseObjective:
-        """Set the statistics for ``posterior``, another posterior of the same
-        frame, in place; returns self."""
-        means = (posterior @ self._terms).view(np.complex128)  # (M, N_d, 3)
-        means[..., :2] *= self._r_conj
-        self.stats = (means * self._h_pair).sum(axis=1)
-        for col, corr in enumerate(self._pilot_corr):
-            self.stats[:, col] += corr
-        return self
+        for col, (r_p, h_p) in enumerate(pilots):
+            self.stats[:, col] += np.conj(r_p) @ h_p
 
     def value(self, theta_a, theta_b):
-        s_a, s_b, s_ab = self.stats.T
-        rotated = s_a * np.exp(1j * theta_a) + s_b * np.exp(1j * theta_b)
-        return 2.0 * (rotated - s_ab * np.exp(1j * (theta_a - theta_b))).real
+        angles = np.multiply.outer(theta_a, _ANGLES[0]) + np.multiply.outer(theta_b, _ANGLES[1])
+        return (self.stats * np.exp(1j * angles)).real @ _WEIGHTS
 
 
 def build_phase_objective(
@@ -225,17 +219,11 @@ def _lattice(l_grid: int, span: float | None, rho: float) -> tuple[np.ndarray, n
     if span is not None:
         base = base - span * (l_grid - 1) / (2 * l_grid)
     offsets = rho * np.stack([base.repeat(l_grid), np.tile(base, l_grid)], axis=1)
-    # Re(s k e^{jx}) = [Re s, Im s] . [Re, Im](k e^{-jx}) for real k: the
-    # objective's weights k = 2, 2, -2 on theta_a, theta_b, theta_a - theta_b
-    a, b = offsets.T
-    phasors = np.exp(-1j * np.stack([a, b, a - b], axis=1)) * [2.0, 2.0, -2.0]  # (L^2, 3)
+    # Re(s k e^{jx}) = [Re s, Im s] . [Re, Im](k e^{-jx}) for the kernel's real k
+    phasors = np.exp(-1j * (offsets @ _ANGLES)) * _WEIGHTS  # (L^2, 3)
     table = np.ascontiguousarray(phasors.view(np.float64).T)  # (6, L^2)
     offsets.flags.writeable = table.flags.writeable = False
     return offsets, table
-
-
-# (M, 2) centres @ _ANGLES are the angles theta_a, theta_b and theta_a - theta_b
-_ANGLES = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
 
 
 def _lattice_values(stats: np.ndarray, centre: np.ndarray, lattice) -> np.ndarray:
@@ -364,9 +352,7 @@ def em_bp_receive(
     xor_history = np.empty((k_total + 1, decoder.ra.k_info), dtype=np.int64)
     theta_history[0] = theta
 
-    # round 0 decodes from zero messages, and its M-step builds the objective
-    # with the frame's fixed terms, which later rounds refit
-    messages = obj = None
+    messages = None  # round 0 decodes from zero messages
     for k in range(k_total + 1):
         evidence = pair_evidence(r, chan, tone_map, constellation, theta, rx_cfg.sigma_w2)
         posterior = decoder.decode(evidence, rx_cfg.bp_iters, start=messages)
@@ -375,10 +361,7 @@ def em_bp_receive(
         if k == k_total:
             break
         tables = posterior.pair_symbol.reshape(m_symbols, -1, constellation.size**2)
-        if obj is None:
-            obj = build_phase_objective(r, chan, tone_map, constellation, tables)
-        else:
-            obj.fit(tables)
+        obj = build_phase_objective(r, chan, tone_map, constellation, tables)
         theta = m_step(obj, theta, rx_cfg)
         theta_history[k + 1] = theta
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pncsim.frame import (
     BPSK,
+    MODULATIONS,
     QPSK,
     FrameConfig,
     ToneMap,
@@ -118,6 +119,12 @@ class TestConstellation:
     def test_unit_average_energy(self, mod):
         con = make_constellation(mod)
         assert abs(np.mean(np.abs(con.points) ** 2) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("mod", MODULATIONS)
+    def test_unit_modulus(self, mod):
+        """The receiver's pair kernel drops |X|^2, so every point must have |X| = 1."""
+        con = make_constellation(mod)
+        np.testing.assert_allclose(np.abs(con.points), 1.0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("mod, bits", [(BPSK, 1), (QPSK, 2)])
     def test_bits_per_symbol_follows_size(self, mod, bits):

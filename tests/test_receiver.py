@@ -12,7 +12,6 @@ import pncsim.receiver as receiver_mod
 from pncsim.channel import (
     ChannelRealization,
     noise_var,
-    sample_flat,
     sample_selective,
     simulate_uplink,
 )
@@ -200,61 +199,39 @@ def oracle_evidence(r_tone, h_a, h_b, theta, points, sigma_w2):
     return out
 
 
-def reference_pair_evidence(r, chan, tone_map, constellation, theta, sigma_w2):
-    """The evidence build as first written, one full-size temporary per step."""
-    data = tone_map.data_tones
-    r = r[:, data]
-    q = constellation.size
-    joint = np.arange(q * q)
-    xa, xb = constellation.points[joint // q], constellation.points[joint % q]
-    rot_a = np.exp(1j * theta[:, 0])[:, None, None]
-    rot_b = np.exp(1j * theta[:, 1])[:, None, None]
-    hyp = rot_a * chan.h_freq[0][data][None, :, None] * xa[None, None, :]
-    hyp += rot_b * chan.h_freq[1][data][None, :, None] * xb[None, None, :]
-    log_k = -np.abs(r[:, :, None] - hyp) ** 2 / sigma_w2
-    return log_k.reshape(-1, len(xa))
-
-
 class TestPairEvidence:
-    def test_bit_identical_to_reference(self, cfg):
-        """The in-place build rounds every step as the reference does, so the
-        tables of one seeded noisy frame agree bit for bit."""
-        tm, con = cfg.tone_map(), cfg.constellation()
-        chan = sample_selective(4, 1.0, np.random.default_rng(11), tau=2)
-        theta = np.random.default_rng(12).uniform(0, 2 * np.pi, (cfg.m_symbols, 2))
-        freq, _, _ = _received_with_phases(cfg, theta, chan, seed=13, sigma_n2=0.2)
-        got = pair_evidence(freq, chan, tm, con, theta, 0.25).tables
-        expect = reference_pair_evidence(freq, chan, tm, con, theta, 0.25)
-        np.testing.assert_array_equal(got, expect)
-
     def test_matches_direct_formula(self, cfg):
+        """Every row minus its max equals the direct formula minus its max,
+        to 1e-13 of the row's range, for BPSK and QPSK on every data tone:
+        random tones at sigma_w2 = 0.31 (also to 1e-12 absolute) and
+        from 1 down to the 1e-12 floor, and one seeded noisy frame at
+        sigma_w2 = 0.25 (also to 1e-12 absolute)."""
         rng = np.random.default_rng(7)
-        tm, con = cfg.tone_map(), cfg.constellation()
+        tm = cfg.tone_map()
         chan = sample_selective(4, 1.0, rng, tau=3)
         r = rng.standard_normal((cfg.m_symbols, 64)) + 1j * rng.standard_normal(
             (cfg.m_symbols, 64)
         )
         theta = rng.uniform(0, 2 * np.pi, (cfg.m_symbols, 2))
-        sigma_w2 = 0.31
-        ev = pair_evidence(
-            r, chan, tm, con, theta, sigma_w2
-        )
-        tables = ev.tables.reshape(cfg.m_symbols, len(tm.data_tones), -1)
-        for m in (0, cfg.m_symbols - 1):
-            for d in (0, 17, 47):
-                tone = tm.data_tones[d]
-                expect = oracle_evidence(
-                    r[m, tone],
-                    chan.h_freq[0][tone],
-                    chan.h_freq[1][tone],
-                    theta[m],
-                    con.points,
-                    sigma_w2,
-                )
-                # the kernel up to a per-tone constant, fixed here by each row's max
-                np.testing.assert_allclose(
-                    tables[m, d] - tables[m, d].max(), expect - expect.max(), atol=1e-12
-                )
+        cases = [(r, chan, theta, 0.31, 1e-12)]
+        cases += [(r, chan, theta, s, np.inf) for s in (1.0, 1e-3, 1e-6, 1e-12)]
+        chan = sample_selective(4, 1.0, np.random.default_rng(11), tau=2)
+        theta = np.random.default_rng(12).uniform(0, 2 * np.pi, (cfg.m_symbols, 2))
+        freq, _, _ = _received_with_phases(cfg, theta, chan, seed=13, sigma_n2=0.2)
+        cases.append((freq, chan, theta, 0.25, 1e-12))
+        for con in (make_constellation(BPSK), make_constellation(QPSK)):
+            for r, chan, theta, sigma_w2, atol in cases:
+                ev = pair_evidence(r, chan, tm, con, theta, sigma_w2)
+                tables = ev.tables.reshape(cfg.m_symbols, len(tm.data_tones), -1)
+                for m, d in np.ndindex(tables.shape[:2]):
+                    tone = tm.data_tones[d]
+                    expect = oracle_evidence(
+                        r[m, tone], chan.h_freq[0][tone], chan.h_freq[1][tone], theta[m],
+                        con.points, sigma_w2,
+                    )
+                    # the kernel up to a per-tone constant, fixed here by each row's max
+                    err = np.abs(tables[m, d] - tables[m, d].max() - expect + expect.max())
+                    assert err.max() <= min(atol, 1e-13 * np.ptp(expect)), (sigma_w2, err)
 
     def test_true_pair_attains_maximum_noiseless(self, cfg):
         tm, con = cfg.tone_map(), cfg.constellation()
@@ -335,10 +312,11 @@ def assert_equal_up_to_constant(got, expect, atol):
 
 
 class TestPhaseObjective:
-    def _random_setup(self, cfg, seed):
-        """One symbol's (1, N_d) tones, channels and (1, N_d, Q^2) posterior."""
+    def _random_setup(self, cfg, seed, con=None):
+        """One symbol's (1, N_d) tones, channels and (1, N_d, Q^2) posterior,
+        for ``con`` or else the constellation of ``cfg``."""
         rng = np.random.default_rng(seed)
-        tm, con = cfg.tone_map(), cfg.constellation()
+        tm, con = cfg.tone_map(), con or cfg.constellation()
         data = tm.data_tones
         r = rng.standard_normal((1, len(data))) + 1j * rng.standard_normal((1, len(data)))
         h_a = rng.standard_normal(len(data)) + 1j * rng.standard_normal(len(data))
@@ -348,16 +326,18 @@ class TestPhaseObjective:
         return con, r, h_a, h_b, post
 
     def test_matches_brute_force(self, cfg):
-        """value - brute force is the same constant at every sampled pair, to 1e-10."""
-        con, r, h_a, h_b, post = self._random_setup(cfg, 21)
-        obj = PhaseObjective(r, (h_a, h_b), post, con)
-        rng = np.random.default_rng(22)
-        got, expect = [], []
-        for _ in range(6):
-            th = rng.uniform(0, 2 * np.pi, 2)
-            got.append(obj.value(th[0], th[1])[0])
-            expect.append(oracle_objective(th, r[0], h_a, h_b, post[0], con.points))
-        assert_equal_up_to_constant(got, expect, 1e-10)
+        """value - brute force is the same constant at every sampled pair, to
+        1e-10, for BPSK and QPSK."""
+        for mod in (BPSK, QPSK):
+            con, r, h_a, h_b, post = self._random_setup(cfg, 21, make_constellation(mod))
+            obj = PhaseObjective(r, (h_a, h_b), post, con)
+            rng = np.random.default_rng(22)
+            got, expect = [], []
+            for _ in range(6):
+                th = rng.uniform(0, 2 * np.pi, 2)
+                got.append(obj.value(th[0], th[1])[0])
+                expect.append(oracle_objective(th, r[0], h_a, h_b, post[0], con.points))
+            assert_equal_up_to_constant(got, expect, 1e-10)
 
     def test_rejects_single_row(self, cfg):
         con, r, h_a, h_b, post = self._random_setup(cfg, 21)
